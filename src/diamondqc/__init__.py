@@ -34,14 +34,12 @@ from .model import (
     validate_density,
 )
 from .correlations import (
-    CorrelationReport,
     SpectralDecomposition,
     binary_entropy,
     classical_correlation,
     concurrence_closed_form,
     concurrence_wootters,
     discord_parts,
-    full_report,
     gmqd,
     gqd_1norm_bell,
     min_conditional_entropy_closed,

@@ -7,7 +7,8 @@ or JSON lines; identical invocations produce byte-identical output,
 independent of the worker count.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-domain error, 4 validation
-failure.
+failure, 141 output pipe closed early.  Every input is checked before the
+first write, so a usage or numeric-domain error leaves no partial output.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
+import os
 import sys
 
-from .correlations import full_report
 from .errors import DiamondQCError, GridTooLarge, NoBracket, NotBellDiagonal, TemperatureTooLow
 from .model import ChainParams
 from .sweep import (
@@ -46,18 +48,14 @@ def _fmt(x) -> str:
 
 def parse_axis(text: str, flag: str) -> AxisRange:
     """A bare number pins the axis; start:stop:steps sweeps it."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"{flag} expects VALUE or START:STOP:STEPS, got {text!r}")
-        try:
-            start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
-        return AxisRange(start, stop, steps)
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(
+            f"{flag} expects VALUE or START:STOP:STEPS, got {text!r}")
     try:
-        return AxisRange.fixed(float(text))
+        if len(parts) == 1:
+            return AxisRange.fixed(float(text))
+        return AxisRange(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
 
@@ -140,12 +138,11 @@ def _point_params(args) -> ChainParams:
 
 def _row_dict(row: SweepRow) -> dict:
     p = row.params
-    out = {"T": p.t, "H": p.h, "J": p.j, "J2": p.j2, "Jm": p.jm,
-           "concurrence": row.concurrence, "qd": row.qd,
-           "classical_corr": row.classical_corr, "mutual_info": row.mutual_info,
-           "gmqd": row.gmqd, "gqd1": row.gqd1, "theta": row.theta,
-           "flags": ";".join(row.flags)}
-    return out
+    return {"T": p.t, "H": p.h, "J": p.j, "J2": p.j2, "Jm": p.jm,
+            "concurrence": row.concurrence, "qd": row.qd,
+            "classical_corr": row.classical_corr, "mutual_info": row.mutual_info,
+            "gmqd": row.gmqd, "gqd1": row.gqd1, "theta": row.theta,
+            "flags": ";".join(row.flags)}
 
 
 def _csv_line(row: SweepRow) -> str:
@@ -157,9 +154,7 @@ def _csv_line(row: SweepRow) -> str:
 
 
 def _jsonl_line(row: SweepRow) -> str:
-    d = _row_dict(row)
-    clean = {k: (v if v is not None else None) for k, v in d.items()}
-    return json.dumps(clean, separators=(",", ":"))
+    return json.dumps(_row_dict(row), separators=(",", ":"))
 
 
 def _open_out(path):
@@ -170,44 +165,36 @@ def _open_out(path):
 
 def cmd_point(args) -> int:
     params, floored = _point_params(args)
-    report = full_report(params, verbatim_v=args.use_verbatim_v)
-    if floored:
-        report = report.with_flags("temp_floored")
+    row = evaluate_row(params, MEASURES, None, ("temp_floored",) if floored else (),
+                       args.use_verbatim_v)
     stream, close = _open_out(args.out)
     try:
         if args.format == "table":
-            p = report.params
+            p = row.params
             stream.write(f"point: T={_fmt(p.t)} H={_fmt(p.h)} J={_fmt(p.j)} "
                          f"J2={_fmt(p.j2)} Jm={_fmt(p.jm)}\n")
             rows = [
-                ("concurrence", report.concurrence),
-                ("quantum discord", report.quantum_discord),
-                ("classical correlation", report.classical_correlation),
-                ("mutual information", report.mutual_information),
-                ("geometric discord (HS)", report.gmqd),
-                ("geometric discord (1-norm)", report.gqd_1norm),
-                ("theta (shortcut)", report.theta),
+                ("concurrence", row.concurrence),
+                ("quantum discord", row.qd),
+                ("classical correlation", row.classical_corr),
+                ("mutual information", row.mutual_info),
+                ("geometric discord (HS)", row.gmqd),
+                ("geometric discord (1-norm)", row.gqd1),
+                ("theta (shortcut)", row.theta),
             ]
             for name, value in rows:
                 stream.write(f"  {name:<28}{_fmt(value)}\n")
-            if report.bell_coeffs is not None:
-                c = report.bell_coeffs
+            if row.bell_coeffs is not None:
+                c = row.bell_coeffs
                 stream.write(f"  bell coefficients           "
                              f"({_fmt(c.c1)}, {_fmt(c.c2)}, {_fmt(c.c3)})\n")
-            if report.flags:
-                stream.write(f"  flags                       {';'.join(report.flags)}\n")
+            if row.flags:
+                stream.write(f"  flags                       {';'.join(row.flags)}\n")
+        elif args.format == "csv":
+            stream.write(CSV_HEADER + "\n")
+            stream.write(_csv_line(row) + "\n")
         else:
-            row = SweepRow(params=report.params, concurrence=report.concurrence,
-                           qd=report.quantum_discord,
-                           classical_corr=report.classical_correlation,
-                           mutual_info=report.mutual_information, gmqd=report.gmqd,
-                           gqd1=report.gqd_1norm, theta=report.theta,
-                           flags=report.flags)
-            if args.format == "csv":
-                stream.write(CSV_HEADER + "\n")
-                stream.write(_csv_line(row) + "\n")
-            else:
-                stream.write(_jsonl_line(row) + "\n")
+            stream.write(_jsonl_line(row) + "\n")
     finally:
         if close:
             stream.close()
@@ -263,11 +250,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     fixed, _ = _point_params(args)
-    lo_hi = args.bracket.split(":")
-    if len(lo_hi) != 2:
-        raise argparse.ArgumentTypeError("--bracket expects LO:HI")
-    query = ThresholdQuery(scan=args.scan, lo=float(lo_hi[0]), hi=float(lo_hi[1]),
-                           measure=args.measure, eps_dead=args.eps_dead, tol=args.tol)
+    try:
+        lo, hi = (float(x) for x in args.bracket.split(":"))
+        query = ThresholdQuery(scan=args.scan, lo=lo, hi=hi, measure=args.measure,
+                               eps_dead=args.eps_dead, tol=args.tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"--bracket expects finite LO:HI with LO < HI, got {args.bracket!r}") from exc
     result = find_threshold(query, fixed)
     if result.found:
         print(f"threshold {args.measure} vs {args.scan}: {_fmt(result.location)}")
@@ -289,7 +278,15 @@ def main(argv=None) -> int:
     handlers = {"point": cmd_point, "sweep": cmd_sweep,
                 "threshold": cmd_threshold, "validate": cmd_validate}
     try:
+        floor = getattr(args, "temp_floor", None)
+        if floor is not None and not (math.isfinite(floor) and floor > 0.0):
+            raise TemperatureTooLow(f"--temp-floor must be finite and > 0, got {floor}")
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader of stdout went away (e.g. `| head`): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TemperatureTooLow, GridTooLarge, NoBracket, NotBellDiagonal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,18 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotBellDiagonal, PositivityViolation
-from .model import (
-    ChainParams,
-    ClusterElements,
-    BellCoeffs,
-    SIGMA_Y,
-    bell_diagonal_coeffs,
-    bloch_decompose,
-    boltzmann_elements,
-    reduced_state,
-    thermal_state_exact,
-)
+from .errors import PositivityViolation
+from .model import BellCoeffs, ClusterElements, SIGMA_Y, bloch_decompose, reduced_state
 from .oracles import GridSpec, minimize_conditional_entropy
 
 EIG_CLIP_FLOOR = -1e-10
@@ -174,71 +164,3 @@ def gqd_1norm_bell(coeffs: BellCoeffs) -> float:
     """Trace-norm geometric discord of a Bell-diagonal state: the intermediate
     of (|c1|, |c2|, |c3|)."""
     return sorted(abs(c) for c in coeffs.as_tuple())[1]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Every correlation measure at one thermodynamic point.
-
-    ``gqd_1norm`` and ``bell_coeffs`` are None when the state is not Bell
-    diagonal (nonzero field); ``theta`` is the shortcut parameter, kept as a
-    diagnostic next to the searched discord.
-    """
-
-    params: ChainParams
-    concurrence: float
-    quantum_discord: float
-    classical_correlation: float
-    mutual_information: float
-    gmqd: float
-    gqd_1norm: float | None
-    theta: float
-    bell_coeffs: BellCoeffs | None
-    flags: tuple[str, ...] = ()
-
-    def with_flags(self, *extra: str) -> "CorrelationReport":
-        merged = self.flags + tuple(f for f in extra if f not in self.flags)
-        return CorrelationReport(
-            params=self.params,
-            concurrence=self.concurrence,
-            quantum_discord=self.quantum_discord,
-            classical_correlation=self.classical_correlation,
-            mutual_information=self.mutual_information,
-            gmqd=self.gmqd,
-            gqd_1norm=self.gqd_1norm,
-            theta=self.theta,
-            bell_coeffs=self.bell_coeffs,
-            flags=merged,
-        )
-
-
-def full_report(params: ChainParams, grid: GridSpec | None = None,
-                verbatim_v: bool = False) -> CorrelationReport:
-    """Build the exact thermal state and evaluate every measure on it.
-
-    The closed-form weights enter only through the diagnostic ``theta``; the
-    state itself and all measures always come from the exact construction.
-    """
-    rho = thermal_state_exact(params)
-    els = boltzmann_elements(params, verbatim_v=verbatim_v)
-    parts = discord_parts(rho, grid)
-    flags = ["verbatim_v"] if verbatim_v else []
-    try:
-        coeffs = bell_diagonal_coeffs(rho)
-        gqd1 = gqd_1norm_bell(coeffs)
-    except NotBellDiagonal:
-        coeffs = None
-        gqd1 = None
-        flags.append("not_bell_diagonal")
-    return CorrelationReport(
-        params=params,
-        concurrence=concurrence_wootters(rho),
-        quantum_discord=parts.quantum_discord,
-        classical_correlation=parts.classical_correlation,
-        mutual_information=parts.mutual_information,
-        gmqd=gmqd(rho),
-        gqd_1norm=gqd1,
-        theta=theta_fast(els),
-        bell_coeffs=coeffs,
-        flags=tuple(flags),
-    )

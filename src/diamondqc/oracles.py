@@ -100,6 +100,34 @@ def _conditional_entropy(dec, axes):
     return ce
 
 
+def _coarse_grid(spec):
+    """Flattened (theta-major) polar and azimuthal angles of the coarse grid
+    of a GridSpec or SearchBudget, and the two grid spacings."""
+    thetas = np.linspace(0.0, math.pi / 2.0, spec.theta_steps)
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * spec.phi_steps, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return tt.ravel(), pp.ravel(), thetas[1] - thetas[0], phis[1] - phis[0]
+
+
+_REFINE_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def _refine(objective, value, theta, phi, dt, dp, spec):
+    """Shrinking 5x5 local search around (theta, phi), ``spec.refine_iters``
+    rounds with the spacings multiplied by ``spec.refine_shrink`` after each.
+    Returns the improved (value, theta, phi)."""
+    for _ in range(spec.refine_iters):
+        lt, lp = np.meshgrid(np.clip(theta + dt * _REFINE_OFFSETS, 0.0, math.pi / 2.0),
+                             phi + dp * _REFINE_OFFSETS, indexing="ij")
+        vals = objective(_axis_vectors(lt.ravel(), lp.ravel()))
+        k = int(np.argmin(vals))
+        if vals[k] < value:
+            value, theta, phi = float(vals[k]), float(lt.ravel()[k]), float(lp.ravel()[k])
+        dt *= spec.refine_shrink
+        dp *= spec.refine_shrink
+    return value, theta, phi
+
+
 def _grid_then_refine(objective, grid: GridSpec):
     """Minimize objective(axes) on the coarse grid, then locally refine.
 
@@ -107,31 +135,11 @@ def _grid_then_refine(objective, grid: GridSpec):
     (value, theta, phi).  np.argmin on the (theta-major) flattened grid breaks
     ties toward the lowest theta, then the lowest phi.
     """
-    thetas = np.linspace(0.0, math.pi / 2.0, grid.theta_steps)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * grid.phi_steps, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = objective(_axis_vectors(tt.ravel(), pp.ravel()))
+    flat_t, flat_p, dt, dp = _coarse_grid(grid)
+    values = objective(_axis_vectors(flat_t, flat_p))
     k = int(np.argmin(values))
-    best_val = float(values[k])
-    best_t = float(tt.ravel()[k])
-    best_p = float(pp.ravel()[k])
-
-    dt = thetas[1] - thetas[0]
-    dp = phis[1] - phis[0]
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    for _ in range(grid.refine_iters):
-        local_t = np.clip(best_t + dt * offsets, 0.0, math.pi / 2.0)
-        local_p = best_p + dp * offsets
-        lt, lp = np.meshgrid(local_t, local_p, indexing="ij")
-        vals = objective(_axis_vectors(lt.ravel(), lp.ravel()))
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_t = float(lt.ravel()[k])
-            best_p = float(lp.ravel()[k])
-        dt *= grid.refine_shrink
-        dp *= grid.refine_shrink
-    return best_val, best_t, best_p
+    return _refine(objective, float(values[k]), float(flat_t[k]), float(flat_p[k]),
+                   dt, dp, grid)
 
 
 def minimize_conditional_entropy(rho: np.ndarray, grid: GridSpec | None = None):
@@ -230,6 +238,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.theta_steps < 5 or self.phi_steps < 8:
             raise ValueError("axis grid too coarse")
+        if not 0.0 < self.refine_shrink < 1.0:
+            raise ValueError("refine_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -303,10 +313,7 @@ def gqd_1norm_variational(rho: np.ndarray, budget: SearchBudget | None = None) -
     budget = budget or SearchBudget()
     rho = np.asarray(rho, dtype=complex)
 
-    thetas = np.linspace(0.0, math.pi / 2.0, budget.theta_steps)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * budget.phi_steps, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    flat_t, flat_p = tt.ravel(), pp.ravel()
+    flat_t, flat_p, dt, dp = _coarse_grid(budget)
     coarse = _dephase_trace_norms(rho, _axis_vectors(flat_t, flat_p))
 
     order = np.argsort(coarse, kind="stable")[: budget.top_axes]
@@ -314,30 +321,12 @@ def gqd_1norm_variational(rho: np.ndarray, budget: SearchBudget | None = None) -
     # canonical axes keep the Bell-diagonal optimum in reach regardless of grid
     candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
 
-    grid = GridSpec(max(budget.theta_steps, 8), max(budget.phi_steps, 8),
-                    budget.refine_iters, budget.refine_shrink)
-    dt = thetas[1] - thetas[0]
-    dp = phis[1] - phis[0]
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-
     best_value = math.inf
     best_axis = _axis_vectors(0.0, 0.0)
-    for theta0, phi0 in candidates:
-        t0, p0 = theta0, phi0
+    for t0, p0 in candidates:
         val0 = float(_dephase_trace_norms(rho, _axis_vectors(t0, p0)[None, :])[0])
-        ldt, ldp = dt, dp
-        for _ in range(grid.refine_iters):
-            lt, lp = np.meshgrid(np.clip(t0 + ldt * offsets, 0.0, math.pi / 2.0),
-                                 p0 + ldp * offsets, indexing="ij")
-            vals = _dephase_trace_norms(rho, _axis_vectors(lt.ravel(), lp.ravel()))
-            k = int(np.argmin(vals))
-            if vals[k] < val0:
-                val0 = float(vals[k])
-                t0 = float(lt.ravel()[k])
-                p0 = float(lp.ravel()[k])
-            ldt *= grid.refine_shrink
-            ldp *= grid.refine_shrink
-
+        _, t0, p0 = _refine(lambda a: _dephase_trace_norms(rho, a), val0, t0, p0,
+                            dt, dp, budget)
         axis = _axis_vectors(t0, p0 % (2.0 * math.pi))
         p_init, b1, b2 = _ansatz_from_dephasing(rho, axis)
         vec = np.concatenate([[p_init], b1, b2])

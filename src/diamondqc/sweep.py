@@ -23,6 +23,7 @@ from .correlations import (
 )
 from .errors import GridTooLarge, NoBracket, NotBellDiagonal
 from .model import (
+    BellCoeffs,
     ChainParams,
     bell_diagonal_coeffs,
     bloch_decompose,
@@ -53,6 +54,8 @@ class AxisRange:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"range bounds must be finite, got {self.start}, {self.stop}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.start > self.stop:
@@ -120,8 +123,13 @@ def sweep_points(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One output row: the evaluated parameters and the selected measures
-    (None marks measures that are undefined or deselected at this point)."""
+    """The selected measures at one evaluated point.
+
+    None marks measures that are undefined or deselected there: ``gqd1`` and
+    ``bell_coeffs`` are None when the state is not Bell diagonal.  ``theta``
+    is the shortcut parameter, kept as a diagnostic next to the searched
+    discord.
+    """
 
     params: ChainParams
     concurrence: float | None
@@ -130,14 +138,19 @@ class SweepRow:
     mutual_info: float | None
     gmqd: float | None
     gqd1: float | None
+    bell_coeffs: BellCoeffs | None
     theta: float
     flags: tuple[str, ...]
 
 
 def evaluate_row(params: ChainParams, measures=MEASURES, grid: GridSpec | None = None,
                  extra_flags: tuple[str, ...] = (), verbatim_v: bool = False) -> SweepRow:
-    """Compute just the selected measures at one point (sweeps skip the
-    discord search when qd is not requested)."""
+    """Build the exact thermal state and compute just the selected measures
+    on it (sweeps skip the discord search when qd is not requested).
+
+    The closed-form weights enter only through the diagnostic ``theta``; the
+    state itself and all measures always come from the exact construction.
+    """
     rho = thermal_state_exact(params)
     els = boltzmann_elements(params, verbatim_v=verbatim_v)
     flags = list(extra_flags)
@@ -152,16 +165,17 @@ def evaluate_row(params: ChainParams, measures=MEASURES, grid: GridSpec | None =
         parts = discord_parts(rho, grid)
         qd, cc, mi = parts.quantum_discord, parts.classical_correlation, parts.mutual_information
 
-    gqd1 = None
+    gqd1 = coeffs = None
     if "gqd1" in measures:
         try:
-            gqd1 = gqd_1norm_bell(bell_diagonal_coeffs(rho))
+            coeffs = bell_diagonal_coeffs(rho)
+            gqd1 = gqd_1norm_bell(coeffs)
         except NotBellDiagonal:
             flags.append("not_bell_diagonal")
 
     return SweepRow(params=params, concurrence=concurrence, qd=qd, classical_corr=cc,
-                    mutual_info=mi, gmqd=gm, gqd1=gqd1, theta=theta_fast(els),
-                    flags=tuple(flags))
+                    mutual_info=mi, gmqd=gm, gqd1=gqd1, bell_coeffs=coeffs,
+                    theta=theta_fast(els), flags=tuple(flags))
 
 
 def run_sweep(spec: SweepSpec, grid: GridSpec | None = None,
@@ -189,8 +203,8 @@ class ThresholdQuery:
             raise ValueError("scan parameter must be 'T' or 'H'")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if not self.lo < self.hi:
-            raise ValueError("bracket must satisfy lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("bracket must be finite and satisfy lo < hi")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from diamondqc import (
     concurrence_closed_form,
     concurrence_wootters,
     discord_parts,
+    evaluate_row,
     find_threshold,
-    full_report,
     gmqd,
     gmqd_variational,
     gqd_1norm_bell,
@@ -251,11 +251,11 @@ class TestCriterion10IdentitiesAndSymmetries:
     def test_j_sign_symmetry_of_measures(self):
         worst = 0.0
         for p in LATTICE[:10]:
-            a = full_report(p.replace(h=0.0))
-            b = full_report(p.replace(h=0.0, j=-p.j))
+            a = evaluate_row(p.replace(h=0.0))
+            b = evaluate_row(p.replace(h=0.0, j=-p.j))
             worst = max(worst, abs(a.concurrence - b.concurrence),
-                        abs(a.quantum_discord - b.quantum_discord),
-                        abs(a.gmqd - b.gmqd), abs(a.gqd_1norm - b.gqd_1norm))
+                        abs(a.qd - b.qd),
+                        abs(a.gmqd - b.gmqd), abs(a.gqd1 - b.gqd1))
         check("10", "measures invariant under j -> -j at zero field",
               worst <= 1e-9, f"max |dev| = {worst:.3e}")
 
@@ -269,10 +269,10 @@ class TestCriterion10IdentitiesAndSymmetries:
               worst <= 1e-9, f"max |dev| = {worst:.3e}")
 
     def test_all_measures_vanish_at_high_temperature(self):
-        rep = full_report(cluster(1.0, t=1e3))
-        values = {"concurrence": rep.concurrence, "qd": rep.quantum_discord,
-                  "cc": rep.classical_correlation, "mi": rep.mutual_information,
-                  "gmqd": rep.gmqd, "gqd1": rep.gqd_1norm}
+        rep = evaluate_row(cluster(1.0, t=1e3))
+        values = {"concurrence": rep.concurrence, "qd": rep.qd,
+                  "cc": rep.classical_corr, "mi": rep.mutual_info,
+                  "gmqd": rep.gmqd, "gqd1": rep.gqd1}
         worst = max(abs(v) for v in values.values())
         check("10", "every measure below 1e-3 at T = 1e3",
               worst < 1e-3, f"max measure = {worst:.3e}")

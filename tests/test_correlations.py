@@ -14,7 +14,7 @@ from diamondqc import (
     concurrence_closed_form,
     concurrence_wootters,
     discord_parts,
-    full_report,
+    evaluate_row,
     gmqd,
     gqd_1norm_bell,
     min_conditional_entropy_closed,
@@ -182,42 +182,42 @@ class TestOneNormBell:
 
 class TestFullReport:
     def test_infinite_temperature(self):
-        rep = full_report(point(j=1, j2=1, t=1e6))
-        for value in (rep.concurrence, rep.quantum_discord, rep.gmqd, rep.gqd_1norm):
+        rep = evaluate_row(point(j=1, j2=1, t=1e6))
+        for value in (rep.concurrence, rep.qd, rep.gmqd, rep.gqd1):
             assert abs(value) < 1e-4
 
     def test_sudden_death_point(self):
-        rep = full_report(point(j=1.0, j2=1.0, t=2.0))
+        rep = evaluate_row(point(j=1.0, j2=1.0, t=2.0))
         assert rep.concurrence == 0.0
-        assert rep.quantum_discord > 1e-3
-        assert rep.gqd_1norm > 1e-3
+        assert rep.qd > 1e-3
+        assert rep.gqd1 > 1e-3
 
     def test_magnetic_entanglement_with_strong_jm(self):
-        rep = full_report(ChainParams(2.0, 2.0, 1.5, 0.0, 1e-3))
+        rep = evaluate_row(ChainParams(2.0, 2.0, 1.5, 0.0, 1e-3))
         assert rep.concurrence == pytest.approx(1.0, abs=1e-3)
 
     def test_field_plateaus_at_equal_couplings_with_jm(self):
         # two entangled plateaus before the product ground state takes over:
         # the middle one mixes a polarized level with the singlet, and its
         # discord sits near 0.41 while concurrence sits at exactly 1/2
-        inner = full_report(ChainParams(2.0, 2.0, 1.5, 0.75, 1e-3))
-        middle = full_report(ChainParams(2.0, 2.0, 1.5, 2.0, 1e-3))
-        dead = full_report(ChainParams(2.0, 2.0, 1.5, 3.0, 1e-3))
+        inner = evaluate_row(ChainParams(2.0, 2.0, 1.5, 0.75, 1e-3))
+        middle = evaluate_row(ChainParams(2.0, 2.0, 1.5, 2.0, 1e-3))
+        dead = evaluate_row(ChainParams(2.0, 2.0, 1.5, 3.0, 1e-3))
         assert inner.concurrence == pytest.approx(1.0, abs=1e-3)
-        assert inner.quantum_discord == pytest.approx(1.0, abs=1e-3)
+        assert inner.qd == pytest.approx(1.0, abs=1e-3)
         assert middle.concurrence == pytest.approx(0.5, abs=1e-3)
-        assert middle.quantum_discord == pytest.approx(0.4122, abs=1e-3)
+        assert middle.qd == pytest.approx(0.4122, abs=1e-3)
         assert dead.concurrence < 1e-12  # thermal tail only
-        assert abs(dead.quantum_discord) < 1e-9
+        assert abs(dead.qd) < 1e-9
 
     def test_additivity_identity(self):
-        rep = full_report(point(j=1.3, j2=0.9, jm=0.6, h=0.4, t=0.7))
-        assert rep.mutual_information == pytest.approx(
-            rep.classical_correlation + rep.quantum_discord, abs=1e-9)
+        rep = evaluate_row(point(j=1.3, j2=0.9, jm=0.6, h=0.4, t=0.7))
+        assert rep.mutual_info == pytest.approx(
+            rep.classical_corr + rep.qd, abs=1e-9)
 
     def test_nonzero_field_omits_one_norm(self):
-        rep = full_report(point(j=1.0, j2=1.0, h=0.5, t=0.5))
-        assert rep.gqd_1norm is None
+        rep = evaluate_row(point(j=1.0, j2=1.0, h=0.5, t=0.5))
+        assert rep.gqd1 is None
         assert rep.bell_coeffs is None
         assert "not_bell_diagonal" in rep.flags
 

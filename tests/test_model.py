@@ -21,6 +21,7 @@ from diamondqc import (
     validate_constructions,
     validate_density,
 )
+from diamondqc.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from conftest import point
 
 
@@ -192,6 +193,16 @@ class TestBlochDecomposition:
             assert np.max(np.abs(bloch_reconstruct(dec) - rho)) < 1e-12
             assert np.max(np.abs(dec.x)) <= 1.0 + 1e-12
             assert np.max(np.abs(dec.r)) <= 1.0 + 1e-12
+        # every coefficient is bit-identical to its explicit Pauli trace
+        paulis = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+        for p in lattice + [q.replace(h=0.0) for q in lattice]:
+            rho = thermal_state_exact(p)
+            dec = bloch_decompose(rho)
+            full = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in paulis]
+                             for si in paulis])
+            assert np.array_equal(dec.x, full[1:, 0])
+            assert np.array_equal(dec.yvec, full[0, 1:])
+            assert np.array_equal(dec.r, full[1:, 1:])
 
 
 class TestBellCoeffs:

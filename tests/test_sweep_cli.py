@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,18 @@ from diamondqc import (
 )
 from diamondqc.cli import CSV_HEADER, main, parse_axis
 from conftest import point
+
+DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
+# Golden sweeps generated at commit f569772, before the evaluator refactor:
+# both gqd1 branches, temp_floored rows, and (JSONL) the verbatim v flag.
+GOLDEN_GRID = ["--j=-1:1:3", "--j2", "1", "--jm", "0.3", "--field=0:2:3",
+               "--temp=0:1:3"]
+GOLDEN_SWEEPS = [
+    ("golden_sweep_all.csv", []),
+    ("golden_sweep_cheap.jsonl", ["--measures", "concurrence,gmqd,gqd1",
+                                  "--format", "jsonl", "--use-verbatim-v"]),
+]
 
 
 class TestAxes:
@@ -65,19 +81,6 @@ class TestSweep:
         (row,) = list(run_sweep(spec, temp_floor=1e-3))
         assert row.params.t == 1e-3
         assert "temp_floored" in row.flags
-
-    def test_row_evaluator_matches_full_report(self):
-        from diamondqc import evaluate_row, full_report
-        p = point(j=1.2, j2=0.8, jm=0.5, h=0.0, t=0.6)
-        row = evaluate_row(p)
-        rep = full_report(p)
-        assert row.concurrence == rep.concurrence
-        assert row.qd == rep.quantum_discord
-        assert row.classical_corr == rep.classical_correlation
-        assert row.mutual_info == rep.mutual_information
-        assert row.gmqd == rep.gmqd
-        assert row.gqd1 == rep.gqd_1norm
-        assert row.theta == rep.theta
 
     def test_two_plateau_structure_with_jm(self):
         # J = J2 with moderate Jm: entangled plateaus at C = 1 and C = 1/2
@@ -147,6 +150,8 @@ class TestThreshold:
             ThresholdQuery(scan="J", lo=0.0, hi=1.0, measure="concurrence")
         with pytest.raises(ValueError):
             ThresholdQuery(scan="T", lo=1.0, hi=0.5, measure="concurrence")
+        with pytest.raises(ValueError):
+            ThresholdQuery(scan="H", lo=0.0, hi=math.inf, measure="concurrence")
 
 
 class TestValidateHarness:
@@ -240,12 +245,17 @@ class TestCli:
         assert set(row) == set(CSV_HEADER.split(","))
         assert row["gqd1"] is None
 
-    def test_single_point_sweep_matches_point(self, capsys):
-        assert main(["point", "--j", "1", "--j2", "1", "--jm", "0",
-                     "--field", "0.2", "--temp", "0.5", "--format", "csv"]) == 0
+    @pytest.mark.parametrize("args", [
+        ["--j", "1", "--j2", "1", "--jm", "0", "--field", "0.2", "--temp", "0.5"],
+        # floored and not Bell diagonal: both flags, in the same order
+        ["--temp", "0", "--temp-floor", "1e-3", "--field", "0.3", "--j", "1", "--j2", "1"],
+        # zero field: the Bell-diagonal gqd1 branch
+        ["--j", "0.7", "--j2", "1", "--jm", "0.3", "--field", "0", "--temp", "0.5"],
+    ], ids=["field", "floored-field", "zero-field"])
+    def test_single_point_sweep_matches_point(self, capsys, args):
+        assert main(["point", *args, "--format", "csv"]) == 0
         point_lines = capsys.readouterr().out.splitlines()
-        assert main(["sweep", "--j", "1", "--j2", "1", "--jm", "0",
-                     "--field", "0.2", "--temp", "0.5"]) == 0
+        assert main(["sweep", *args]) == 0
         sweep_lines = capsys.readouterr().out.splitlines()
         assert point_lines == sweep_lines
 
@@ -290,9 +300,61 @@ class TestCli:
         assert "nan" not in text.lower()
         assert len(text.splitlines()) == 1 + 3 * 2 * 3 * 3
 
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["sweep", "--field", "not-a-number"]) == 2
-        assert "usage error" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--no-such-flag"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("argv,code,message", [
+        (["sweep", "--field", "not-a-number"], 2, "usage error"),
+        (["sweep", "--no-such-flag"], 2, "unrecognized arguments"),
+        (["point", "--temp", "nan"], 2, "usage error"),
+        (["point", "--field", "inf"], 2, "usage error"),
+        (["sweep", "--temp", "nan"], 2, "usage error"),
+        (["sweep", "--temp=1:0:3"], 2, "usage error"),
+        (["sweep", "--temp=-1:1:3", "--temp-floor", "0"], 3, "temp-floor"),
+        (["sweep", "--temp=-1:1:3", "--temp-floor", "nan"], 3, "temp-floor"),
+        (["point", "--temp", "0", "--temp-floor", "inf"], 3, "temp-floor"),
+        (["threshold", "--scan", "H", "--bracket", "0:nan"], 2, "usage error"),
+        (["threshold", "--scan", "H", "--bracket", "0:inf"], 2, "usage error"),
+        (["threshold", "--scan", "H", "--bracket", "3:1"], 2, "usage error"),
+        (["threshold", "--scan", "H", "--bracket", "0:1:2"], 2, "usage error"),
+        (["threshold", "--scan", "H", "--bracket", "a:b"], 2, "usage error"),
+    ], ids=["bad-number", "unknown-flag", "point-temp-nan", "point-field-inf",
+            "sweep-temp-nan", "sweep-reversed-range", "sweep-floor-zero",
+            "sweep-floor-nan", "point-floor-inf", "bracket-nan",
+            "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text"])
+    def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message):
+        def exit_code(args):
+            try:
+                return main(args)
+            except SystemExit as exc:  # argparse's own usage errors
+                return exc.code
+
+        assert exit_code(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        if argv[0] in ("point", "sweep"):
+            out = tmp_path / "out"
+            assert exit_code(argv + ["--out", str(out)]) == code
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name,extra", GOLDEN_SWEEPS, ids=[n for n, _ in GOLDEN_SWEEPS])
+def test_sweep_bytes_match_golden(tmp_path, name, extra, workers):
+    out = tmp_path / name
+    assert main(["sweep", *GOLDEN_GRID, *extra, "--workers", workers,
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # `diamondqc sweep ... | head -1`: the output is larger than a pipe
+    # buffer, so the sweep is still writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diamondqc.cli", "sweep", "--field=0:1:2000",
+         "--measures", "concurrence"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().decode().strip() == CSV_HEADER
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
