@@ -54,7 +54,6 @@ from .oracles import (
     GridSpec,
     MeasurementBasis,
     OneNormEstimate,
-    SearchBudget,
     gmqd_variational,
     gqd_1norm_variational,
     measured_state,

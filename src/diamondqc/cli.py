@@ -8,16 +8,18 @@ independent of the worker count.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-domain error, 4 validation
 failure, 141 output pipe closed early.  Every input is checked before the
-first write, so a usage or numeric-domain error leaves no partial output.
+first write, so a usage or numeric-domain error leaves no partial output; an
+error that only shows while rows are evaluated removes the ``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 from .errors import DiamondQCError, GridTooLarge, NoBracket, NotBellDiagonal, TemperatureTooLow
@@ -32,12 +34,11 @@ from .sweep import (
     ThresholdQuery,
     evaluate_row,
     find_threshold,
+    run_sweep,
     run_validate,
-    sweep_points,
 )
 
 CSV_HEADER = "T,H,J,J2,Jm,concurrence,qd,classical_corr,mutual_info,gmqd,gqd1,theta,flags"
-_COLUMNS = ("concurrence", "qd", "classical_corr", "mutual_info", "gmqd", "gqd1", "theta")
 
 
 def _fmt(x) -> str:
@@ -137,6 +138,7 @@ def _point_params(args) -> ChainParams:
 
 
 def _row_dict(row: SweepRow) -> dict:
+    """The row's fields, keyed and ordered as the CSV columns."""
     p = row.params
     return {"T": p.t, "H": p.h, "J": p.j, "J2": p.j2, "Jm": p.jm,
             "concurrence": row.concurrence, "qd": row.qd,
@@ -147,28 +149,43 @@ def _row_dict(row: SweepRow) -> dict:
 
 def _csv_line(row: SweepRow) -> str:
     d = _row_dict(row)
-    fields = [_fmt(d[k]) for k in ("T", "H", "J", "J2", "Jm")]
-    fields += [_fmt(d[k]) for k in _COLUMNS]
-    fields.append(d["flags"])
-    return ",".join(fields)
+    return ",".join([_fmt(v) for k, v in d.items() if k != "flags"] + [d["flags"]])
 
 
 def _jsonl_line(row: SweepRow) -> str:
     return json.dumps(_row_dict(row), separators=(",", ":"))
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Stdout, or the file at ``path``.  When the command fails, a regular
+    file written there is removed again so that an error leaves no partial
+    file; a device, pipe or symlink named by ``path`` is left in place."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True  # open() creates a regular file
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        try:
+            yield stream
+        except BaseException:
+            # the command's own error is what reaches main, not a cleanup error
+            with contextlib.suppress(OSError):
+                stream.close()
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
 def cmd_point(args) -> int:
     params, floored = _point_params(args)
-    row = evaluate_row(params, MEASURES, None, ("temp_floored",) if floored else (),
+    row = evaluate_row(params, MEASURES, ("temp_floored",) if floored else (),
                        args.use_verbatim_v)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         if args.format == "table":
             p = row.params
             stream.write(f"point: T={_fmt(p.t)} H={_fmt(p.h)} J={_fmt(p.j)} "
@@ -195,9 +212,6 @@ def cmd_point(args) -> int:
             stream.write(_csv_line(row) + "\n")
         else:
             stream.write(_jsonl_line(row) + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -214,37 +228,20 @@ def _sweep_spec(args) -> SweepSpec:
     )
 
 
-def _evaluate_for_pool(item):
-    params, floored, measures, verbatim_v = item
-    extra = ("temp_floored",) if floored else ()
-    return evaluate_row(params, measures, None, extra, verbatim_v)
-
-
 def cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
     to_line = _csv_line if args.format == "csv" else _jsonl_line
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         if args.format == "csv":
             stream.write(CSV_HEADER + "\n")
-        points = ((p, fl, spec.measures, args.use_verbatim_v)
-                  for p, fl in sweep_points(spec, args.temp_floor))
         try:
-            if args.workers > 1:
-                with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-                    for row in pool.map(_evaluate_for_pool, points, chunksize=16):
-                        stream.write(to_line(row) + "\n")
-            else:
-                for item in points:
-                    stream.write(to_line(_evaluate_for_pool(item)) + "\n")
+            for row in run_sweep(spec, args.temp_floor, args.workers, args.use_verbatim_v):
+                stream.write(to_line(row) + "\n")
         except KeyboardInterrupt:
             # completed ordered prefix has already been written; fail loudly
             stream.flush()
             print("interrupted: flushed completed prefix", file=sys.stderr)
             return 130
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -252,11 +249,14 @@ def cmd_threshold(args) -> int:
     fixed, _ = _point_params(args)
     try:
         lo, hi = (float(x) for x in args.bracket.split(":"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"--bracket expects LO:HI, got {args.bracket!r}") from exc
+    try:
         query = ThresholdQuery(scan=args.scan, lo=lo, hi=hi, measure=args.measure,
                                eps_dead=args.eps_dead, tol=args.tol)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--bracket expects finite LO:HI with LO < HI, got {args.bracket!r}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     result = find_threshold(query, fixed)
     if result.found:
         print(f"threshold {args.measure} vs {args.scan}: {_fmt(result.location)}")

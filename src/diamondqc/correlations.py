@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PositivityViolation
 from .model import BellCoeffs, ClusterElements, SIGMA_Y, bloch_decompose, reduced_state
-from .oracles import GridSpec, minimize_conditional_entropy
+from .oracles import minimize_conditional_entropy
 
 EIG_CLIP_FLOOR = -1e-10
 
@@ -130,9 +130,9 @@ class DiscordParts:
         return self.s_first - self.s_joint + self.min_conditional
 
 
-def discord_parts(rho: np.ndarray, grid: GridSpec | None = None) -> DiscordParts:
+def discord_parts(rho: np.ndarray) -> DiscordParts:
     """Measurement on the first qubit, conditional entropy of the second."""
-    ce, basis = minimize_conditional_entropy(rho, grid)
+    ce, basis = minimize_conditional_entropy(rho)
     return DiscordParts(
         s_joint=von_neumann_entropy(rho),
         s_first=von_neumann_entropy(reduced_state(rho, "first")),
@@ -142,13 +142,13 @@ def discord_parts(rho: np.ndarray, grid: GridSpec | None = None) -> DiscordParts
     )
 
 
-def quantum_discord(rho: np.ndarray, grid: GridSpec | None = None) -> float:
+def quantum_discord(rho: np.ndarray) -> float:
     """Definitional discord S(rho_A) - S(rho) + min_k sum p_k S(rho_B|k)."""
-    return discord_parts(rho, grid).quantum_discord
+    return discord_parts(rho).quantum_discord
 
 
-def classical_correlation(rho: np.ndarray, grid: GridSpec | None = None) -> float:
-    return discord_parts(rho, grid).classical_correlation
+def classical_correlation(rho: np.ndarray) -> float:
+    return discord_parts(rho).classical_correlation
 
 
 def gmqd(rho: np.ndarray) -> float:

@@ -9,9 +9,15 @@ Three independently coded minimizations:
   classical-quantum state.  For a fixed measurement axis the closest state is
   the dephased (measured) state, so only the axis is searched.
 * ``gqd_1norm_variational`` -- trace-norm distance to the nearest
-  classical-quantum state; axis grid plus a deterministic compass search over
-  the ansatz (p, bloch1, bloch2).  The result is an upper bound on the true
-  minimum, exact on Bell-diagonal inputs.
+  classical-quantum state; one fixed axis grid plus a deterministic compass
+  search over the ansatz (p, bloch1, bloch2).  The result is an upper bound on
+  the true minimum, exact on Bell-diagonal inputs.
+
+Only ``minimize_conditional_entropy`` takes a ``GridSpec``; the two distance
+searches run fixed configurations.  Every classical-quantum state
+sum_s P_s x block_s is built one way, from a projector pair (I +- n.sigma)/2
+and two weighted conditional blocks of the second qubit, and every distance is
+taken between 4x4 operators, never through the Bloch closed forms.
 
 Everything is seedless and deterministic: identical inputs give bit-identical
 outputs.  Ties are broken toward the lowest polar angle, then lowest azimuth.
@@ -49,6 +55,33 @@ class GridSpec:
                         self.refine_iters, self.refine_shrink)
 
 
+_PAULI_STACK = np.stack(PAULIS)
+
+
+def _bloch_operators(vectors):
+    """(I + v.sigma)/2 for a (..., 3) stack of Bloch vectors: the projector
+    onto a unit axis, or the qubit state of a vector with |v| <= 1."""
+    return (IDENTITY_2 + np.tensordot(vectors, _PAULI_STACK, axes=(-1, 0))) / 2.0
+
+
+def _projector_pairs(axes):
+    """(..., 2, 2, 2) projector pairs (I +- n.sigma)/2 for a (..., 3) axis stack."""
+    axes = np.asarray(axes, dtype=float)
+    return _bloch_operators(np.stack([axes, -axes], axis=-2))
+
+
+def _conditional_blocks(rho, projectors):
+    """Tr_1[(P_s x I) rho] for each projector of a (..., 2, 2, 2) pair stack:
+    the unnormalized states of the second qubit after each outcome."""
+    return np.einsum("...sae,ebad->...sbd", projectors, rho.reshape(2, 2, 2, 2))
+
+
+def _cq_state(projectors, blocks):
+    """The classical-quantum state sum_s P_s x block_s, as (..., 4, 4)."""
+    out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Rank-1 projective measurement on one qubit, parametrized by its Bloch axis."""
@@ -60,10 +93,9 @@ class MeasurementBasis:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"measurement axis must be unit length, got |n|={norm}")
 
-    def projectors(self):
-        n = self.axis
-        ns = n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-        return (IDENTITY_2 + ns) / 2.0, (IDENTITY_2 - ns) / 2.0
+    def projectors(self) -> np.ndarray:
+        """The pair (P+, P-) as a (2, 2, 2) array."""
+        return _projector_pairs(self.axis)
 
 
 def _axis_vectors(theta, phi):
@@ -102,7 +134,7 @@ def _conditional_entropy(dec, axes):
 
 def _coarse_grid(spec):
     """Flattened (theta-major) polar and azimuthal angles of the coarse grid
-    of a GridSpec or SearchBudget, and the two grid spacings."""
+    of a GridSpec, and the two grid spacings."""
     thetas = np.linspace(0.0, math.pi / 2.0, spec.theta_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * spec.phi_steps, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -151,53 +183,40 @@ def minimize_conditional_entropy(rho: np.ndarray, grid: GridSpec | None = None):
     return value, MeasurementBasis(_axis_vectors(theta, phi % (2.0 * math.pi)))
 
 
-def _projector_stack(axes):
-    """(n, 2, 2, 2) array of projector pairs (I +- n.sigma)/2 for each axis."""
-    n = axes.shape[0]
-    ns = np.tensordot(axes, np.stack(PAULIS), axes=(1, 0))
-    stack = np.empty((n, 2, 2, 2), dtype=complex)
-    stack[:, 0] = (IDENTITY_2[None, :, :] + ns) / 2.0
-    stack[:, 1] = (IDENTITY_2[None, :, :] - ns) / 2.0
-    return stack
-
-
-def _dephased_batch(rho, axes):
-    """Measured states sum_s (P_s x I) rho (P_s x I) for a stack of axes."""
-    proj = _projector_stack(axes)
-    # promote each 2x2 projector to 4x4 (tensor with identity on the second qubit)
-    eye = np.eye(2, dtype=complex)
-    p4 = np.einsum("nsab,cd->nsacbd", proj, eye).reshape(-1, 2, 4, 4)
-    out = np.zeros((axes.shape[0], 4, 4), dtype=complex)
-    for s in range(2):
-        out += p4[:, s] @ rho[None, :, :] @ p4[:, s]
-    return out
-
-
 def measured_state(rho: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Dephase the first qubit along a measurement axis."""
-    return _dephased_batch(np.asarray(rho, dtype=complex), np.asarray(axis)[None, :])[0]
+    """Dephase the first qubit along a measurement axis, or along each row of
+    an (n, 3) axis stack: sum_s P_s x Tr_1[(P_s x I) rho]."""
+    rho = np.asarray(rho, dtype=complex)
+    projectors = _projector_pairs(axis)
+    return _cq_state(projectors, _conditional_blocks(rho, projectors))
 
 
-def gmqd_variational(rho: np.ndarray, grid: GridSpec | None = None) -> float:
+def gmqd_variational(rho: np.ndarray) -> float:
     """Minimal squared Hilbert-Schmidt distance to a classical-quantum state.
 
     For a fixed axis the optimal classical-quantum state is the dephased
-    state, so the search runs over the measurement axis only.
+    state, so the search runs over the measurement axis only, on the
+    default ``GridSpec``.
     """
-    grid = grid or GridSpec()
     rho = np.asarray(rho, dtype=complex)
 
     def objective(axes):
-        delta = rho[None, :, :] - _dephased_batch(rho, axes)
+        delta = rho[None, :, :] - measured_state(rho, axes)
         return np.sum(np.abs(delta) ** 2, axis=(1, 2)).real
 
-    value, _, _ = _grid_then_refine(objective, grid)
+    value, _, _ = _grid_then_refine(objective, GridSpec())
     return float(value)
 
 
 def trace_norm(hermitian: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input these are |eigenvalues|."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian))))
+
+
+def _ansatz_state(projectors, vec):
+    """p P+ x rho(bloch1) + (1 - p) P- x rho(bloch2) for vec = (p, bloch1, bloch2)."""
+    weights = np.array([vec[0], 1.0 - vec[0]])
+    return _cq_state(projectors, weights[:, None, None] * _bloch_operators(vec[1:].reshape(2, 3)))
 
 
 @dataclass(frozen=True)
@@ -211,35 +230,8 @@ class ClassicalQuantumAnsatz:
     bloch2: np.ndarray
 
     def state(self) -> np.ndarray:
-        proj_p, proj_m = MeasurementBasis(self.axis).projectors()
-        q1 = _qubit_state(self.bloch1)
-        q2 = _qubit_state(self.bloch2)
-        return self.p * np.kron(proj_p, q1) + (1.0 - self.p) * np.kron(proj_m, q2)
-
-
-def _qubit_state(bloch):
-    b = np.asarray(bloch, dtype=float)
-    return (IDENTITY_2 + b[0] * PAULIS[0] + b[1] * PAULIS[1] + b[2] * PAULIS[2]) / 2.0
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Deterministic budget for the trace-norm search: coarse axis grid,
-    dephasing-based axis refinement, then a compass search over the ansatz at
-    the best ``top_axes`` candidates (canonical axes always included)."""
-
-    theta_steps: int = 13
-    phi_steps: int = 24
-    refine_iters: int = 30
-    refine_shrink: float = 0.5
-    inner_iters: int = 60
-    top_axes: int = 4
-
-    def __post_init__(self):
-        if self.theta_steps < 5 or self.phi_steps < 8:
-            raise ValueError("axis grid too coarse")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie in (0, 1)")
+        vec = np.concatenate([[self.p], self.bloch1, self.bloch2])
+        return _ansatz_state(MeasurementBasis(self.axis).projectors(), vec)
 
 
 @dataclass(frozen=True)
@@ -251,32 +243,32 @@ class OneNormEstimate:
     flag: str = "UPPER_BOUND"
 
 
+# The trace-norm search: coarse axis grid and its dephasing-based refinement,
+# then compass rounds over the ansatz at the best few axes.
+_ONE_NORM_GRID = GridSpec(13, 24, 30)
+_COMPASS_ROUNDS = 60
+_TOP_AXES = 4
+
+
 def _dephase_trace_norms(rho, axes):
-    deltas = rho[None, :, :] - _dephased_batch(rho, axes)
-    return np.sum(np.abs(np.linalg.eigvalsh(deltas)), axis=1)
+    return np.sum(np.abs(np.linalg.eigvalsh(rho - measured_state(rho, axes))), axis=-1)
 
 
 def _ansatz_from_dephasing(rho, axis):
-    """Initial (p, b1, b2): the second-qubit conditional blocks of the
-    dephased state, so the starting ansatz reproduces it exactly."""
-    proj_p, proj_m = MeasurementBasis(axis).projectors()
-    blocks = []
-    weights = []
-    for proj in (proj_p, proj_m):
-        p4 = np.kron(proj, IDENTITY_2)
-        block = np.einsum("abad->bd", (p4 @ rho @ p4).reshape(2, 2, 2, 2))
-        wgt = float(np.trace(block).real)
-        weights.append(wgt)
-        if wgt > 1e-15:
-            block = block / wgt
-            blocks.append(np.array([np.trace(block @ s).real for s in PAULIS]))
-        else:
-            blocks.append(np.zeros(3))
-    return weights[0], blocks[0], blocks[1]
+    """Initial ansatz vector (p, bloch1, bloch2): the weights and Bloch vectors
+    of the conditional blocks, so the starting ansatz reproduces the dephased
+    state exactly."""
+    blocks = _conditional_blocks(rho, _projector_pairs(axis))
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    bloch = np.einsum("sab,kba->sk", blocks, _PAULI_STACK).real
+    # an outcome of zero weight has no conditional state; its Bloch vector stays 0
+    scale = np.where(weights > 1e-15, weights, np.inf)
+    return np.concatenate([weights[:1], (bloch / scale[:, None]).ravel()])
 
 
 def _compass_search(objective, vec, iters, step=0.25, min_step=1e-7):
-    """Coordinate-wise pattern search with halving steps; deterministic."""
+    """Coordinate-wise pattern search with halving steps; deterministic.
+    Returns the best objective value found."""
     best = objective(vec)
     for _ in range(iters):
         improved = False
@@ -294,7 +286,7 @@ def _compass_search(objective, vec, iters, step=0.25, min_step=1e-7):
             step *= 0.5
             if step < min_step:
                 break
-    return best, vec
+    return best
 
 
 def _project_ansatz_vector(vec):
@@ -307,16 +299,15 @@ def _project_ansatz_vector(vec):
     return vec
 
 
-def gqd_1norm_variational(rho: np.ndarray, budget: SearchBudget | None = None) -> OneNormEstimate:
+def gqd_1norm_variational(rho: np.ndarray) -> OneNormEstimate:
     """Upper-bound estimate of the trace-norm distance to the nearest
     classical-quantum state (nested axis grid + ansatz compass search)."""
-    budget = budget or SearchBudget()
     rho = np.asarray(rho, dtype=complex)
 
-    flat_t, flat_p, dt, dp = _coarse_grid(budget)
+    flat_t, flat_p, dt, dp = _coarse_grid(_ONE_NORM_GRID)
     coarse = _dephase_trace_norms(rho, _axis_vectors(flat_t, flat_p))
 
-    order = np.argsort(coarse, kind="stable")[: budget.top_axes]
+    order = np.argsort(coarse, kind="stable")[:_TOP_AXES]
     candidates = [(float(flat_t[k]), float(flat_p[k])) for k in order]
     # canonical axes keep the Bell-diagonal optimum in reach regardless of grid
     candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
@@ -324,20 +315,14 @@ def gqd_1norm_variational(rho: np.ndarray, budget: SearchBudget | None = None) -
     best_value = math.inf
     best_axis = _axis_vectors(0.0, 0.0)
     for t0, p0 in candidates:
-        val0 = float(_dephase_trace_norms(rho, _axis_vectors(t0, p0)[None, :])[0])
+        val0 = float(_dephase_trace_norms(rho, _axis_vectors(t0, p0)))
         _, t0, p0 = _refine(lambda a: _dephase_trace_norms(rho, a), val0, t0, p0,
-                            dt, dp, budget)
+                            dt, dp, _ONE_NORM_GRID)
         axis = _axis_vectors(t0, p0 % (2.0 * math.pi))
-        p_init, b1, b2 = _ansatz_from_dephasing(rho, axis)
-        vec = np.concatenate([[p_init], b1, b2])
-
-        def objective(v, axis=axis):
-            ansatz = ClassicalQuantumAnsatz(axis=axis, p=v[0],
-                                            bloch1=v[1:4], bloch2=v[4:7])
-            return trace_norm(rho - ansatz.state())
-
-        val, vec = _compass_search(objective, _project_ansatz_vector(vec),
-                                   budget.inner_iters)
+        projectors = _projector_pairs(axis)
+        val = _compass_search(lambda v: trace_norm(rho - _ansatz_state(projectors, v)),
+                              _project_ansatz_vector(_ansatz_from_dephasing(rho, axis)),
+                              _COMPASS_ROUNDS)
         if val < best_value:
             best_value = val
             best_axis = axis

@@ -7,6 +7,9 @@ searches are deterministic; there is no randomness anywhere in the package.
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,12 +35,7 @@ from .model import (
     thermal_state_exact,
     validate_constructions,
 )
-from .oracles import (
-    GridSpec,
-    SearchBudget,
-    gmqd_variational,
-    gqd_1norm_variational,
-)
+from .oracles import gmqd_variational, gqd_1norm_variational
 
 PARAM_ORDER = ("t", "h", "j", "j2", "jm")
 MEASURES = ("concurrence", "qd", "gmqd", "gqd1")
@@ -94,10 +92,7 @@ class SweepSpec:
 
     @property
     def total_points(self) -> int:
-        n = 1
-        for name in PARAM_ORDER:
-            n *= getattr(self, name).steps
-        return n
+        return math.prod(getattr(self, name).steps for name in PARAM_ORDER)
 
 
 def sweep_points(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR):
@@ -107,18 +102,11 @@ def sweep_points(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR):
     the T = 0 limit) and reported via the flooring flag.
     """
     axes = [getattr(spec, name).values() for name in PARAM_ORDER]
-    for t in axes[0]:
+    for t, h, j, j2, jm in itertools.product(*axes):
         floored = t <= 0.0
-        t_eff = temp_floor if floored else float(t)
-        for h in axes[1]:
-            for j in axes[2]:
-                for j2 in axes[3]:
-                    for jm in axes[4]:
-                        yield (
-                            ChainParams(j=float(j), j2=float(j2), jm=float(jm),
-                                        h=float(h), t=t_eff),
-                            floored,
-                        )
+        yield (ChainParams(j=float(j), j2=float(j2), jm=float(jm), h=float(h),
+                           t=temp_floor if floored else float(t)),
+               floored)
 
 
 @dataclass(frozen=True)
@@ -143,8 +131,8 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-def evaluate_row(params: ChainParams, measures=MEASURES, grid: GridSpec | None = None,
-                 extra_flags: tuple[str, ...] = (), verbatim_v: bool = False) -> SweepRow:
+def evaluate_row(params: ChainParams, measures=MEASURES, extra_flags: tuple[str, ...] = (),
+                 verbatim_v: bool = False) -> SweepRow:
     """Build the exact thermal state and compute just the selected measures
     on it (sweeps skip the discord search when qd is not requested).
 
@@ -162,7 +150,7 @@ def evaluate_row(params: ChainParams, measures=MEASURES, grid: GridSpec | None =
 
     qd = cc = mi = None
     if "qd" in measures:
-        parts = discord_parts(rho, grid)
+        parts = discord_parts(rho)
         qd, cc, mi = parts.quantum_discord, parts.classical_correlation, parts.mutual_information
 
     gqd1 = coeffs = None
@@ -178,12 +166,46 @@ def evaluate_row(params: ChainParams, measures=MEASURES, grid: GridSpec | None =
                     theta=theta_fast(els), flags=tuple(flags))
 
 
-def run_sweep(spec: SweepSpec, grid: GridSpec | None = None,
-              temp_floor: float = DEFAULT_TEMP_FLOOR):
-    """Yield SweepRow for every grid point, in deterministic grid order."""
-    for params, floored in sweep_points(spec, temp_floor):
-        extra = ("temp_floored",) if floored else ()
-        yield evaluate_row(params, spec.measures, grid, extra)
+# pool sweeps send chunks of _CHUNK points, at most _CHUNKS_PER_WORKER per worker
+# in flight, so the parent holds a bounded window of the grid, not all of it
+_CHUNK = 16
+_CHUNKS_PER_WORKER = 4
+
+
+def _evaluate_chunk(chunk, measures, verbatim_v) -> list[SweepRow]:
+    """Rows of a list of (ChainParams, floored) points."""
+    return [evaluate_row(params, measures, ("temp_floored",) if floored else (), verbatim_v)
+            for params, floored in chunk]
+
+
+def run_sweep(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR, workers: int = 1,
+              verbatim_v: bool = False):
+    """Yield SweepRow for every grid point, in deterministic grid order.
+
+    With ``workers`` > 1 the rows are evaluated in a process pool; each row
+    is computed the same way in any process, so the output does not depend
+    on the worker count.
+    """
+    points = sweep_points(spec, temp_floor)
+    if workers <= 1:
+        for point in points:
+            yield from _evaluate_chunk([point], spec.measures, verbatim_v)
+        return
+    chunks = iter(lambda: list(itertools.islice(points, _CHUNK)), [])
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        def submit(chunk):
+            return pool.submit(_evaluate_chunk, chunk, spec.measures, verbatim_v)
+
+        window = collections.deque(
+            submit(chunk) for chunk in itertools.islice(chunks, _CHUNKS_PER_WORKER * workers))
+        try:
+            while window:
+                rows = window.popleft().result()
+                window.extend(submit(chunk) for chunk in itertools.islice(chunks, 1))
+                yield from rows
+        finally:
+            # closed early (error, broken pipe, consumer gone): drop queued chunks
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -204,7 +226,10 @@ class ThresholdQuery:
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("bracket must be finite and satisfy lo < hi")
+            raise ValueError(f"bracket must be finite and satisfy lo < hi, "
+                             f"got {self.lo}:{self.hi}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +239,12 @@ class ThresholdResult:
     reason: str = ""
 
 
-def _single_measure(params: ChainParams, measure: str, grid: GridSpec | None) -> float:
+def _single_measure(params: ChainParams, measure: str) -> float:
     rho = thermal_state_exact(params)
     if measure == "concurrence":
         return concurrence_wootters(rho)
     if measure == "qd":
-        return discord_parts(rho, grid).quantum_discord
+        return discord_parts(rho).quantum_discord
     if measure == "gmqd":
         return gmqd(rho)
     if measure == "gqd1":
@@ -227,20 +252,20 @@ def _single_measure(params: ChainParams, measure: str, grid: GridSpec | None) ->
     raise ValueError(measure)
 
 
-def find_threshold(query: ThresholdQuery, fixed: ChainParams,
-                   grid: GridSpec | None = None) -> ThresholdResult:
+def find_threshold(query: ThresholdQuery, fixed: ChainParams) -> ThresholdResult:
     """Bisect the boundary of the dead region {measure <= eps_dead}.
 
     ``fixed`` supplies every parameter except the scanned one (its value for
     the scanned parameter is ignored).  Returns NoThreshold when the measure
     stays alive across the whole bracket (e.g. quantum discord, which decays
     asymptotically instead of dying); raises NoBracket when it is dead at both
-    ends so no boundary can be located.
+    ends so no boundary can be located.  Bisection stops at ``query.tol``, or
+    earlier once lo and hi are adjacent floats.
     """
     key = "t" if query.scan == "T" else "h"
 
     def value(x: float) -> float:
-        return _single_measure(fixed.replace(**{key: x}), query.measure, grid)
+        return _single_measure(fixed.replace(**{key: x}), query.measure)
 
     alive_lo = value(query.lo) > query.eps_dead
     alive_hi = value(query.hi) > query.eps_dead
@@ -255,6 +280,8 @@ def find_threshold(query: ThresholdQuery, fixed: ChainParams,
     lo, hi = query.lo, query.hi
     while hi - lo > query.tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if (value(mid) > query.eps_dead) == alive_lo:
             lo = mid
         else:
@@ -272,18 +299,9 @@ def validation_lattice(n: int = 200):
     alphas = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0]))
     idx = np.arange(1, n + 1)[:, None]
     frac = np.mod(idx * alphas[None, :], 1.0)
-    points = []
-    for f in frac:
-        points.append(
-            ChainParams(
-                j=-2.0 + 4.0 * f[0],
-                j2=-2.0 + 4.0 * f[1],
-                jm=3.0 * f[2],
-                h=-4.0 + 8.0 * f[3],
-                t=0.05 + 4.95 * f[4],
-            )
-        )
-    return points
+    return [ChainParams(j=-2.0 + 4.0 * f[0], j2=-2.0 + 4.0 * f[1], jm=3.0 * f[2],
+                        h=-4.0 + 8.0 * f[3], t=0.05 + 4.95 * f[4])
+            for f in frac]
 
 
 DEFAULT_VALIDATION_POINT = ChainParams(j=0.0, j2=1.0, jm=0.0, h=0.0, t=1.0)
@@ -332,8 +350,7 @@ class ValidationSummary:
 
 def run_validate(points: int = 200, grid_cap: int | None = None,
                  use_verbatim_v: bool = False,
-                 oracle_points: int = 24, onenorm_points: int = 8,
-                 grid: GridSpec | None = None) -> ValidationSummary:
+                 oracle_points: int = 24, onenorm_points: int = 8) -> ValidationSummary:
     """Run the whole invariant grid: construction equivalence, symmetries,
     oracle equivalences, and the additivity identity.
 
@@ -345,14 +362,9 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
     if grid_cap is not None:
         lattice = lattice[:grid_cap]
     summary = ValidationSummary(points_used=len(lattice), verbatim_v=use_verbatim_v)
-    grid = grid or GridSpec()
 
     # construction equivalence, both v variants
-    dev_corr = 0.0
-    dev_verb_j0 = 0.0
-    dev_verb = 0.0
-    conc_dev = 0.0
-    recon_dev = 0.0
+    dev_corr = dev_verb_j0 = dev_verb = conc_dev = recon_dev = 0.0
     for p in lattice:
         chk = validate_constructions(p)
         dev_corr = max(dev_corr, chk.corrected.max_abs)
@@ -381,9 +393,7 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
     summary.add("Pauli reconstruction of the exact state", recon_dev, 1e-12)
 
     # field-free Bell structure, swap and j-sign symmetry
-    bell_dev = 0.0
-    swap_dev = 0.0
-    jsign_dev = 0.0
+    bell_dev = swap_dev = jsign_dev = 0.0
     for p in lattice[: max(40, len(lattice) // 4)]:
         p0 = p.replace(h=0.0)
         coeffs = bell_diagonal_coeffs(thermal_state_exact(p0))
@@ -406,8 +416,8 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
     fast_excesses = []
     for p in subset:
         rho = thermal_state_exact(p)
-        gm_dev = max(gm_dev, abs(gmqd(rho) - gmqd_variational(rho, grid)))
-        parts = discord_parts(rho, grid)
+        gm_dev = max(gm_dev, abs(gmqd(rho) - gmqd_variational(rho)))
+        parts = discord_parts(rho)
         add_dev = max(add_dev, abs(parts.mutual_information
                                    - parts.classical_correlation - parts.quantum_discord))
         qd_min = min(qd_min, parts.quantum_discord)
@@ -434,7 +444,7 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
         p0 = p.replace(h=0.0)
         rho = thermal_state_exact(p0)
         med = gqd_1norm_bell(bell_diagonal_coeffs(rho))
-        est = gqd_1norm_variational(rho, SearchBudget())
+        est = gqd_1norm_variational(rho)
         one_dev = max(one_dev, abs(med - est.value))
     summary.add("trace-norm discord: Bell-diagonal median vs variational", one_dev, 1e-3)
 

@@ -5,7 +5,6 @@ from diamondqc import (
     ClassicalQuantumAnsatz,
     GridSpec,
     MeasurementBasis,
-    SearchBudget,
     bell_diagonal_coeffs,
     gmqd,
     gmqd_variational,
@@ -17,7 +16,18 @@ from diamondqc import (
     trace_norm,
     validate_density,
 )
+from diamondqc.model import IDENTITY_2, PAULIS
+from diamondqc.oracles import _ansatz_from_dephasing
 from conftest import point
+
+# measurement axes for the classical-quantum reference checks
+AXES = [np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]),
+        np.array([1.0, 2.0, -2.0]) / 3.0]
+
+
+def explicit_projectors(axis):
+    ns = sum(n * s for n, s in zip(axis, PAULIS))
+    return (IDENTITY_2 + ns) / 2.0, (IDENTITY_2 - ns) / 2.0
 
 
 class TestGridSpec:
@@ -85,6 +95,14 @@ class TestDephasing:
         validate_density(chi, "dephased state")
         assert np.max(np.abs(measured_state(chi, axis) - chi)) < 1e-14
 
+    def test_matches_explicit_kron_dephasing(self, lattice):
+        for p in lattice:
+            rho = thermal_state_exact(p)
+            for axis in AXES:
+                p4s = [np.kron(proj, IDENTITY_2) for proj in explicit_projectors(axis)]
+                explicit = sum(p4 @ rho @ p4 for p4 in p4s)
+                assert np.max(np.abs(measured_state(rho, axis) - explicit)) < 1e-15
+
 
 class TestGmqdVariational:
     def test_maximally_mixed(self, maximally_mixed):
@@ -132,10 +150,6 @@ class TestOneNormVariational:
         rho = thermal_state_exact(point(j=0.9, j2=1.2, t=0.7))
         assert gqd_1norm_variational(rho).value == gqd_1norm_variational(rho).value
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(theta_steps=2)
-
 
 class TestAnsatz:
     def test_state_is_valid_density(self):
@@ -146,3 +160,12 @@ class TestAnsatz:
         validate_density(chi, "classical-quantum ansatz")
         # zero trace-norm distance to itself
         assert trace_norm(chi - chi) == 0.0
+
+    def test_start_from_dephasing_reproduces_measured_state(self, lattice):
+        for p in lattice:
+            rho = thermal_state_exact(p)
+            for axis in AXES:
+                vec = _ansatz_from_dephasing(rho, axis)
+                ansatz = ClassicalQuantumAnsatz(axis=axis, p=vec[0],
+                                                bloch1=vec[1:4], bloch2=vec[4:7])
+                assert np.max(np.abs(ansatz.state() - measured_state(rho, axis))) < 1e-15

@@ -1,12 +1,15 @@
+import concurrent.futures
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import diamondqc.sweep as sweep_module
 from diamondqc import (
     AxisRange,
     ChainParams,
@@ -92,6 +95,45 @@ class TestSweep:
         assert any(abs(c - 0.5) < 1e-3 for c in cs)
         assert any(c < 1e-9 for c in cs)  # beyond the second transition
 
+    def test_pool_keeps_a_bounded_window_of_points(self, monkeypatch):
+        consumed = 0
+        all_points = sweep_module.sweep_points
+
+        def counting_points(*args):
+            nonlocal consumed
+            for item in all_points(*args):
+                consumed += 1
+                yield item
+
+        monkeypatch.setattr(sweep_module, "sweep_points", counting_points)
+        spec = self._spec(h=AxisRange(0.0, 1.0, 1000), measures=("concurrence",))
+        rows = run_sweep(spec, workers=2)
+        try:
+            next(rows)
+            # the initial window plus the one chunk submitted as it was drained
+            window = sweep_module._CHUNK * (sweep_module._CHUNKS_PER_WORKER * 2 + 1)
+            assert consumed <= window < spec.total_points
+        finally:
+            rows.close()
+
+    def test_closing_the_sweep_cancels_queued_chunks(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # all measures: each chunk takes long enough that most of the window
+        # is still queued when the consumer stops after the first row
+        rows = run_sweep(self._spec(h=AxisRange(0.0, 1.0, 1000)), workers=2)
+        next(rows)
+        rows.close()
+        assert len(submitted) == sweep_module._CHUNKS_PER_WORKER * 2 + 1
+        assert all(future.done() for future in submitted)
+        assert any(future.cancelled() for future in submitted)
+
 
 class TestThreshold:
     def test_entanglement_death_temperature(self):
@@ -145,6 +187,14 @@ class TestThreshold:
         loc_fine = find_threshold(fine, point(j=1.0, j2=1.0)).location
         assert abs(loc_base - loc_fine) <= 1e-4
 
+    def test_tolerance_below_float_spacing_still_stops(self):
+        # bisection ends once lo and hi are adjacent floats; the dead level
+        # C = eps_dead lies about 2e-9 below the death temperature
+        q = ThresholdQuery(scan="T", lo=0.1, hi=5.0, measure="concurrence", tol=1e-300)
+        res = find_threshold(q, point(j=1.0, j2=1.0))
+        assert res.found
+        assert res.location == pytest.approx(1.0 / math.log(2.0 + math.sqrt(5.0)), abs=1e-8)
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             ThresholdQuery(scan="J", lo=0.0, hi=1.0, measure="concurrence")
@@ -152,6 +202,9 @@ class TestThreshold:
             ThresholdQuery(scan="T", lo=1.0, hi=0.5, measure="concurrence")
         with pytest.raises(ValueError):
             ThresholdQuery(scan="H", lo=0.0, hi=math.inf, measure="concurrence")
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ThresholdQuery(scan="H", lo=0.0, hi=1.0, measure="concurrence", tol=tol)
 
 
 class TestValidateHarness:
@@ -172,6 +225,23 @@ class TestValidateHarness:
         summary = run_validate(points=12, grid_cap=1, oracle_points=1, onenorm_points=1)
         assert summary.exit_code == 0
         assert summary.points_used == 1
+
+    def test_check_names_and_order(self):
+        summary = run_validate(points=8, oracle_points=2, onenorm_points=1)
+        assert [c.name for c in summary.checks] == [
+            "closed-form (corrected v) vs exact construction",
+            "verbatim v agrees at j = 0",
+            "concurrence: spin-flip spectrum vs closed form",
+            "Pauli reconstruction of the exact state",
+            "field-free Bell structure (c1 = c2)",
+            "Heisenberg-spin swap symmetry",
+            "j sign symmetry of the field-free state",
+            "geometric discord: closed form vs variational",
+            "additivity I = C + D",
+            "discord non-negativity",
+            "shortcut conditional entropy >= searched minimum",
+            "trace-norm discord: Bell-diagonal median vs variational",
+        ]
 
 
 class TestCli:
@@ -300,26 +370,36 @@ class TestCli:
         assert "nan" not in text.lower()
         assert len(text.splitlines()) == 1 + 3 * 2 * 3 * 3
 
-    @pytest.mark.parametrize("argv,code,message", [
-        (["sweep", "--field", "not-a-number"], 2, "usage error"),
-        (["sweep", "--no-such-flag"], 2, "unrecognized arguments"),
-        (["point", "--temp", "nan"], 2, "usage error"),
-        (["point", "--field", "inf"], 2, "usage error"),
-        (["sweep", "--temp", "nan"], 2, "usage error"),
-        (["sweep", "--temp=1:0:3"], 2, "usage error"),
-        (["sweep", "--temp=-1:1:3", "--temp-floor", "0"], 3, "temp-floor"),
-        (["sweep", "--temp=-1:1:3", "--temp-floor", "nan"], 3, "temp-floor"),
-        (["point", "--temp", "0", "--temp-floor", "inf"], 3, "temp-floor"),
-        (["threshold", "--scan", "H", "--bracket", "0:nan"], 2, "usage error"),
-        (["threshold", "--scan", "H", "--bracket", "0:inf"], 2, "usage error"),
-        (["threshold", "--scan", "H", "--bracket", "3:1"], 2, "usage error"),
-        (["threshold", "--scan", "H", "--bracket", "0:1:2"], 2, "usage error"),
-        (["threshold", "--scan", "H", "--bracket", "a:b"], 2, "usage error"),
+    @pytest.mark.parametrize("argv,code,message,stdout_lines", [
+        (["sweep", "--field", "not-a-number"], 2, "usage error", 0),
+        (["sweep", "--no-such-flag"], 2, "unrecognized arguments", 0),
+        (["point", "--temp", "nan"], 2, "usage error", 0),
+        (["point", "--field", "inf"], 2, "usage error", 0),
+        (["sweep", "--temp", "nan"], 2, "usage error", 0),
+        (["sweep", "--temp=1:0:3"], 2, "usage error", 0),
+        (["sweep", "--temp=-1:1:3", "--temp-floor", "0"], 3, "temp-floor", 0),
+        (["sweep", "--temp=-1:1:3", "--temp-floor", "nan"], 3, "temp-floor", 0),
+        (["point", "--temp", "0", "--temp-floor", "inf"], 3, "temp-floor", 0),
+        (["threshold", "--scan", "H", "--bracket", "0:nan"], 2, "usage error", 0),
+        (["threshold", "--scan", "H", "--bracket", "0:inf"], 2, "usage error", 0),
+        (["threshold", "--scan", "H", "--bracket", "3:1"], 2, "usage error", 0),
+        (["threshold", "--scan", "H", "--bracket", "0:1:2"], 2, "usage error", 0),
+        (["threshold", "--scan", "H", "--bracket", "a:b"], 2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol", "0"], 2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol=-1"], 2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol", "nan"], 2, "usage error", 0),
+        # too cold for finite Boltzmann weights: found while rows are evaluated,
+        # after the header (and the floored T = 0 row) went to stdout
+        (["sweep", "--temp=1e-320", "--measures", "concurrence"], 3, "not finite", 1),
+        (["sweep", "--temp=0:1e-320:2", "--measures", "concurrence"], 3, "not finite", 2),
     ], ids=["bad-number", "unknown-flag", "point-temp-nan", "point-field-inf",
             "sweep-temp-nan", "sweep-reversed-range", "sweep-floor-zero",
             "sweep-floor-nan", "point-floor-inf", "bracket-nan",
-            "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text"])
-    def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message):
+            "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text",
+            "tol-zero", "tol-negative", "tol-nan", "sweep-temp-too-cold",
+            "sweep-temp-range-too-cold"])
+    def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message,
+                                   stdout_lines):
         def exit_code(args):
             try:
                 return main(args)
@@ -328,12 +408,30 @@ class TestCli:
 
         assert exit_code(argv) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert len(captured.out.splitlines()) == stdout_lines
+        assert captured.out.endswith("\n") or not captured.out
         assert message in captured.err
         if argv[0] in ("point", "sweep"):
             out = tmp_path / "out"
             assert exit_code(argv + ["--out", str(out)]) == code
             assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_failed_command_leaves_a_non_regular_out_in_place(self, capsys, tmp_path):
+        # a named pipe stands in for --out /dev/null or /dev/stdout: the
+        # numeric error still exits 3, and the pipe is not unlinked
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main(["sweep", "--temp=1e-320", "--measures", "concurrence",
+                     "--out", str(fifo)]) == 3
+        reader.join(timeout=30)
+        assert "not finite" in capsys.readouterr().err
+        assert fifo.is_fifo()
+        assert received == [CSV_HEADER + "\n"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
