@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(default {DEFAULT_TEMP_FLOOR})")
     p_sweep.add_argument("--grid-cap", type=int, default=DEFAULT_GRID_CAP)
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="process pool size; rows are always emitted in grid order")
+                         help="process pool size, 1 to the CPU count; rows are always "
+                              "emitted in grid order")
     p_sweep.add_argument("--use-verbatim-v", action="store_true",
                          help="use the verbatim closed-form v weight in diagnostics")
 
@@ -230,6 +231,11 @@ def _sweep_spec(args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
+    # checked before any pool is built: a fork pool starts all its workers at once
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise argparse.ArgumentTypeError(
+            f"--workers must lie in 1..{cpus} (the CPU count), got {args.workers}")
     to_line = _csv_line if args.format == "csv" else _jsonl_line
     with _output(args.out) as stream:
         if args.format == "csv":
@@ -266,6 +272,10 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.grid_cap is not None and args.grid_cap < 1:
+        raise argparse.ArgumentTypeError(f"--grid-cap must be >= 1, got {args.grid_cap}")
+    if args.points < 0:
+        raise argparse.ArgumentTypeError(f"--points must be >= 0, got {args.points}")
     summary = run_validate(points=args.points, grid_cap=args.grid_cap,
                            use_verbatim_v=args.use_verbatim_v)
     print(summary.render())

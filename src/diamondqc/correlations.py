@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation
-from .model import BellCoeffs, ClusterElements, SIGMA_Y, bloch_decompose, reduced_state
-from .oracles import minimize_conditional_entropy
+from .model import (BellCoeffs, BlochDecomposition, ClusterElements, SIGMA_Y, bloch_decompose,
+                    reduced_state)
+from .oracles import minimize_axial_conditional_entropy, minimize_conditional_entropy
 
 EIG_CLIP_FLOOR = -1e-10
 
@@ -130,9 +131,27 @@ class DiscordParts:
         return self.s_first - self.s_joint + self.min_conditional
 
 
+def is_axially_symmetric(dec: BlochDecomposition) -> bool:
+    """Bloch data symmetric about z, exactly: x and yvec along z and
+    R = diag(a, a, b).  Every cluster state is of this form (an X state with
+    real coherence)."""
+    r = dec.r
+    return (dec.x[0] == dec.x[1] == dec.yvec[0] == dec.yvec[1] == 0.0
+            and np.array_equal(r, np.diag([r[0, 0], r[0, 0], r[2, 2]])))
+
+
 def discord_parts(rho: np.ndarray) -> DiscordParts:
-    """Measurement on the first qubit, conditional entropy of the second."""
-    ce, basis = minimize_conditional_entropy(rho)
+    """Measurement on the first qubit, conditional entropy of the second.
+
+    An axially symmetric state is searched over the polar angle only (its
+    axis has phi = 0); any other state runs the full search of
+    ``minimize_conditional_entropy``.
+    """
+    dec = bloch_decompose(rho)
+    if is_axially_symmetric(dec):
+        ce, basis = minimize_axial_conditional_entropy(dec)
+    else:
+        ce, basis = minimize_conditional_entropy(rho)
     return DiscordParts(
         s_joint=von_neumann_entropy(rho),
         s_first=von_neumann_entropy(reduced_state(rho, "first")),

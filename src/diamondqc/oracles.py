@@ -5,6 +5,9 @@ Three independently coded minimizations:
 * ``minimize_conditional_entropy`` -- deterministic grid plus shrinking local
   refinement over rank-1 projective measurements on the first qubit; this is
   the authoritative minimum behind quantum discord.
+  ``minimize_axial_conditional_entropy`` is the same search with the azimuth
+  dropped, for Bloch data symmetric about z, where the azimuth does not
+  matter; it runs the same float operations on the axes it visits.
 * ``gmqd_variational`` -- squared Hilbert-Schmidt distance to the nearest
   classical-quantum state.  For a fixed measurement axis the closest state is
   the dephased (measured) state, so only the axis is searched.
@@ -130,6 +133,55 @@ def _conditional_entropy(dec, axes):
         term = p * _binary_entropy_bits(0.5 * (1.0 + bloch_norm))
         ce += np.where(p > 1e-15, term, 0.0)
     return ce
+
+
+def _axial_conditional_entropy(dec, theta):
+    """``_conditional_entropy`` along the axes (sin theta, 0, cos theta) of a
+    1-D theta array, for Bloch data with x = (0, 0, xz), yvec = (0, 0, yz)
+    and a diagonal R.  Both outcomes are stacked on a leading axis.  Every
+    element takes the same float operations as in the general kernel, whose
+    matrix products and norm only add exact zeros here, with the same guards
+    and the same binary entropy."""
+    ct = np.cos(theta)
+    sign = np.array([[1.0], [-1.0]])
+    p = 0.5 * (1.0 + sign * (ct * dec.x[2]))
+    n0 = np.sin(theta) * dec.r[0, 0]  # enters squared, so the outcome sign drops out
+    n2 = dec.yvec[2] + sign * (ct * dec.r[2, 2])
+    live = p > 1e-15
+    bloch_norm = np.sqrt(n0 * n0 + n2 * n2) / (2.0 * np.where(live, p, 1.0))
+    q = 0.5 * (1.0 + np.minimum(np.maximum(bloch_norm, 0.0), 1.0))
+    q = np.minimum(np.maximum(q, 0.0), 1.0)  # the clip of _binary_entropy_bits
+    entropy = 0.0
+    for s in (q, 1.0 - q):
+        mask = s > 0.0
+        entropy = entropy - np.where(mask, s * np.log2(np.where(mask, s, 1.0)), 0.0)
+    term = np.where(live, p * entropy, 0.0)
+    return 0.0 + term[0] + term[1]
+
+
+def minimize_axial_conditional_entropy(dec):
+    """Minimum of ``_axial_conditional_entropy`` over theta in [0, pi/2]: the
+    polar grid and the refinement rounds of the default ``GridSpec``, at
+    phi = 0.
+
+    For Bloch data symmetric about z the conditional entropy does not depend
+    on the azimuth, so this is ``minimize_conditional_entropy`` with its phi
+    axis dropped.  Interior optima are searched like endpoints.  Returns
+    (bits, MeasurementBasis).
+    """
+    grid = GridSpec()
+    thetas = np.linspace(0.0, math.pi / 2.0, grid.theta_steps)
+    values = _axial_conditional_entropy(dec, thetas)
+    k = values.argmin()
+    value, theta, dt = float(values[k]), float(thetas[k]), thetas[1] - thetas[0]
+    for _ in range(grid.refine_iters):
+        local = np.minimum(np.maximum(theta + dt * _REFINE_OFFSETS, 0.0), math.pi / 2.0)
+        vals = _axial_conditional_entropy(dec, local)
+        k = vals.argmin()
+        if vals[k] < value:
+            value, theta = float(vals[k]), float(local[k])
+        dt *= grid.refine_shrink
+    return value, MeasurementBasis(_axis_vectors(theta, 0.0))
 
 
 def _coarse_grid(spec):

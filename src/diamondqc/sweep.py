@@ -35,7 +35,7 @@ from .model import (
     thermal_state_exact,
     validate_constructions,
 )
-from .oracles import gmqd_variational, gqd_1norm_variational
+from .oracles import gmqd_variational, gqd_1norm_variational, minimize_conditional_entropy
 
 PARAM_ORDER = ("t", "h", "j", "j2", "jm")
 MEASURES = ("concurrence", "qd", "gmqd", "gqd1")
@@ -230,6 +230,8 @@ class ThresholdQuery:
                              f"got {self.lo}:{self.hi}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not (math.isfinite(self.eps_dead) and self.eps_dead >= 0.0):
+            raise ValueError(f"eps_dead must be finite and >= 0, got {self.eps_dead}")
 
 
 @dataclass(frozen=True)
@@ -409,8 +411,7 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
 
     # oracle equivalences and identities on a subset
     subset = lattice[:oracle_points]
-    gm_dev = 0.0
-    add_dev = 0.0
+    gm_dev = axial_dev = add_dev = 0.0
     qd_min = math.inf
     fast_gap_min = math.inf
     fast_excesses = []
@@ -418,6 +419,8 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
         rho = thermal_state_exact(p)
         gm_dev = max(gm_dev, abs(gmqd(rho) - gmqd_variational(rho)))
         parts = discord_parts(rho)
+        axial_dev = max(axial_dev, abs(parts.min_conditional
+                                       - minimize_conditional_entropy(rho)[0]))
         add_dev = max(add_dev, abs(parts.mutual_information
                                    - parts.classical_correlation - parts.quantum_discord))
         qd_min = min(qd_min, parts.quantum_discord)
@@ -427,6 +430,7 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
         if gap > 1e-6:
             fast_excesses.append((p, gap))
     summary.add("geometric discord: closed form vs variational", gm_dev, 1e-4)
+    summary.add("conditional entropy: axial θ search vs 2-D oracle", axial_dev, 1e-12)
     summary.add("additivity I = C + D", add_dev, 1e-9)
     summary.add("discord non-negativity", max(0.0, -qd_min), 1e-9)
     summary.add("shortcut conditional entropy >= searched minimum",

@@ -25,6 +25,8 @@ from diamondqc import (
     thermal_state_exact,
     von_neumann_entropy,
 )
+from diamondqc.correlations import is_axially_symmetric
+from diamondqc.model import IDENTITY_2, PAULIS, bloch_decompose
 from conftest import point
 
 
@@ -147,6 +149,39 @@ class TestDiscord:
     def test_perfect_classical_correlation(self, classical_correlated):
         assert classical_correlation(classical_correlated) == pytest.approx(1.0, abs=1e-10)
         assert abs(quantum_discord(classical_correlated)) < 1e-9
+
+
+class TestAxialDiscordSearch:
+    def test_matches_the_2d_search_on_lattice(self, lattice):
+        points = lattice[:40]
+        for p in (points + [q.replace(h=0.0) for q in points]
+                  + [q.replace(t=0.02) for q in points]):
+            rho = thermal_state_exact(p)
+            assert is_axially_symmetric(bloch_decompose(rho))
+            parts = discord_parts(rho)
+            assert parts.axis[1] == 0.0
+            assert abs(parts.min_conditional - minimize_conditional_entropy(rho)[0]) < 1e-14
+
+    def test_keeps_an_interior_optimum(self):
+        # an X state with real coherence whose optimal axis lies strictly
+        # between theta = 0 and pi/2, where both endpoints are 2e-3 bits worse
+        rho = np.diag([0.0275, 0.0166, 0.9558, 0.0001])
+        rho[1, 2] = rho[2, 1] = -0.109
+        assert is_axially_symmetric(bloch_decompose(rho))
+        parts = discord_parts(rho)
+        assert 0.6 < math.acos(parts.axis[2]) < 0.7
+        assert abs(parts.min_conditional - minimize_conditional_entropy(rho)[0]) < 1e-14
+
+    def test_non_axial_state_takes_the_2d_search(self):
+        # the cluster state with its first qubit rotated about y: x and R tilt off z
+        rho = thermal_state_exact(point(j=0.7, j2=1.0, jm=0.3, h=0.4, t=0.5))
+        u = np.kron(math.cos(0.3) * IDENTITY_2 - 1j * math.sin(0.3) * PAULIS[1], IDENTITY_2)
+        rotated = u @ rho @ u.conj().T
+        assert not is_axially_symmetric(bloch_decompose(rotated))
+        parts = discord_parts(rotated)
+        value, basis = minimize_conditional_entropy(rotated)
+        assert parts.min_conditional == value
+        assert np.array_equal(parts.axis, basis.axis)
 
 
 class TestGeometricDiscord:

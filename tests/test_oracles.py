@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,13 @@ from diamondqc import (
     trace_norm,
     validate_density,
 )
-from diamondqc.model import IDENTITY_2, PAULIS
-from diamondqc.oracles import _ansatz_from_dephasing
+from diamondqc.model import IDENTITY_2, PAULIS, bloch_decompose
+from diamondqc.oracles import (
+    _ansatz_from_dephasing,
+    _axial_conditional_entropy,
+    _axis_vectors,
+    _conditional_entropy,
+)
 from conftest import point
 
 # measurement axes for the classical-quantum reference checks
@@ -85,6 +92,16 @@ class TestConditionalEntropySearch:
         b, basis_b = minimize_conditional_entropy(rho)
         assert a == b
         assert np.array_equal(basis_a.axis, basis_b.axis)
+
+
+class TestAxialConditionalEntropy:
+    def test_bit_identical_to_general_kernel_at_phi_zero(self, lattice):
+        thetas = np.concatenate([np.linspace(0.0, math.pi / 2.0, GridSpec().theta_steps),
+                                 [1e-9, 0.0123, 0.4, 0.785, 1.1, 1.5707]])
+        for p in lattice + [q.replace(h=0.0) for q in lattice]:
+            dec = bloch_decompose(thermal_state_exact(p))
+            assert np.array_equal(_axial_conditional_entropy(dec, thetas),
+                                  _conditional_entropy(dec, _axis_vectors(thetas, 0.0)))
 
 
 class TestDephasing:

@@ -205,6 +205,11 @@ class TestThreshold:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 ThresholdQuery(scan="H", lo=0.0, hi=1.0, measure="concurrence", tol=tol)
+        for eps_dead in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ThresholdQuery(scan="H", lo=0.0, hi=1.0, measure="concurrence",
+                               eps_dead=eps_dead)
+        ThresholdQuery(scan="H", lo=0.0, hi=1.0, measure="concurrence", eps_dead=0.0)
 
 
 class TestValidateHarness:
@@ -237,6 +242,7 @@ class TestValidateHarness:
             "Heisenberg-spin swap symmetry",
             "j sign symmetry of the field-free state",
             "geometric discord: closed form vs variational",
+            "conditional entropy: axial θ search vs 2-D oracle",
             "additivity I = C + D",
             "discord non-negativity",
             "shortcut conditional entropy >= searched minimum",
@@ -388,6 +394,17 @@ class TestCli:
         (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol", "0"], 2, "usage error", 0),
         (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol=-1"], 2, "usage error", 0),
         (["threshold", "--scan", "T", "--bracket", "0.1:5", "--tol", "nan"], 2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--j", "1", "--eps-dead=-1"],
+         2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--eps-dead", "nan"],
+         2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--eps-dead", "inf"],
+         2, "usage error", 0),
+        (["sweep", "--workers", "0"], 2, "--workers", 0),
+        (["sweep", "--workers=-1"], 2, "--workers", 0),
+        (["sweep", "--workers", str((os.cpu_count() or 1) + 1)], 2, "--workers", 0),
+        (["validate", "--grid-cap", "0"], 2, "--grid-cap", 0),
+        (["validate", "--points=-1"], 2, "--points", 0),
         # too cold for finite Boltzmann weights: found while rows are evaluated,
         # after the header (and the floored T = 0 row) went to stdout
         (["sweep", "--temp=1e-320", "--measures", "concurrence"], 3, "not finite", 1),
@@ -396,7 +413,9 @@ class TestCli:
             "sweep-temp-nan", "sweep-reversed-range", "sweep-floor-zero",
             "sweep-floor-nan", "point-floor-inf", "bracket-nan",
             "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text",
-            "tol-zero", "tol-negative", "tol-nan", "sweep-temp-too-cold",
+            "tol-zero", "tol-negative", "tol-nan", "eps-dead-negative", "eps-dead-nan",
+            "eps-dead-inf", "workers-zero", "workers-negative", "workers-above-cpu-count",
+            "validate-grid-cap-zero", "validate-points-negative", "sweep-temp-too-cold",
             "sweep-temp-range-too-cold"])
     def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message,
                                    stdout_lines):
