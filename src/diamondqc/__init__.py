@@ -28,32 +28,23 @@ from .model import (
     boltzmann_elements,
     cluster_hamiltonian,
     reduced_state,
-    thermal_state_closed_form,
     thermal_state_exact,
     validate_constructions,
     validate_density,
 )
 from .correlations import (
-    SpectralDecomposition,
     binary_entropy,
-    classical_correlation,
     concurrence_closed_form,
     concurrence_wootters,
     discord_parts,
     gmqd,
     gqd_1norm_bell,
     min_conditional_entropy_closed,
-    mutual_information,
-    quantum_discord,
-    spectral_decomposition,
     theta_fast,
     von_neumann_entropy,
 )
 from .oracles import (
-    ClassicalQuantumAnsatz,
     GridSpec,
-    MeasurementBasis,
-    OneNormEstimate,
     gmqd_variational,
     gqd_1norm_variational,
     measured_state,

@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _point_params(args) -> ChainParams:
+def _point_params(args) -> tuple[ChainParams, bool]:
     values = {}
     for key, flag in (("j", "--j"), ("j2", "--j2"), ("jm", "--jm"),
                       ("h", "--field"), ("t", "--temp")):
@@ -231,17 +231,16 @@ def _sweep_spec(args) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
-    # checked before any pool is built: a fork pool starts all its workers at once
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        raise argparse.ArgumentTypeError(
-            f"--workers must lie in 1..{cpus} (the CPU count), got {args.workers}")
+    try:
+        rows = run_sweep(spec, args.temp_floor, args.workers, args.use_verbatim_v)
+    except ValueError as exc:  # the worker count, checked before any pool is built
+        raise argparse.ArgumentTypeError(f"--workers: {exc}") from exc
     to_line = _csv_line if args.format == "csv" else _jsonl_line
     with _output(args.out) as stream:
         if args.format == "csv":
             stream.write(CSV_HEADER + "\n")
         try:
-            for row in run_sweep(spec, args.temp_floor, args.workers, args.use_verbatim_v):
+            for row in rows:
                 stream.write(to_line(row) + "\n")
         except KeyboardInterrupt:
             # completed ordered prefix has already been written; fail loudly

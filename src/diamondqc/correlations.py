@@ -2,7 +2,9 @@
 
 All entropies are in bits (log base 2, 0 log 0 = 0).  Quantum discord here is
 always the definitional value: the measurement minimization is delegated to
-the deterministic search in :mod:`diamondqc.oracles`.  The closed binary
+the deterministic search in :mod:`diamondqc.oracles`.  ``discord_parts``
+returns the three entropies and that minimum together; quantum discord,
+classical correlation and mutual information are read off it.  The closed binary
 entropy shortcut ``min_conditional_entropy_closed`` is exposed as a labeled
 fast path only; whenever it exceeds the searched minimum the difference is a
 documented deviation of the shortcut, never adopted silently.
@@ -23,28 +25,15 @@ from .oracles import minimize_axial_conditional_entropy, minimize_conditional_en
 EIG_CLIP_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending, clipped at zero) and orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def spectral_decomposition(rho: np.ndarray, floor: float = EIG_CLIP_FLOOR) -> SpectralDecomposition:
-    vals, vecs = np.linalg.eigh(np.asarray(rho))
-    if float(vals[0]) < floor:
-        raise PositivityViolation(
-            f"eigenvalue {vals[0]:.3e} below clipping floor {floor:.0e}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    order = np.argsort(vals)[::-1]
-    return SpectralDecomposition(values=vals[order], vectors=vecs[:, order])
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda log2 lambda over the clipped spectrum."""
-    vals = spectral_decomposition(rho).values
+    """-sum lambda log2 lambda over the spectrum clipped at zero; an eigenvalue
+    below EIG_CLIP_FLOOR raises PositivityViolation."""
+    vals = np.linalg.eigvalsh(np.asarray(rho))
+    if float(vals[0]) < EIG_CLIP_FLOOR:
+        raise PositivityViolation(
+            f"eigenvalue {vals[0]:.3e} below clipping floor {EIG_CLIP_FLOOR:.0e}"
+        )
+    vals = np.clip(vals, 0.0, None)[::-1]
     nz = vals[vals > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
 
@@ -55,16 +44,6 @@ def binary_entropy(q: float) -> float:
         if p > 0.0:
             total -= p * math.log2(p)
     return total
-
-
-def mutual_information(rho: np.ndarray) -> float:
-    """S(rho_A) + S(rho_B) - S(rho), floored at tiny negative roundoff."""
-    s_a = von_neumann_entropy(reduced_state(rho, "first"))
-    s_b = von_neumann_entropy(reduced_state(rho, "second"))
-    mi = s_a + s_b - von_neumann_entropy(rho)
-    if mi < -1e-12:
-        raise ValueError(f"mutual information came out negative: {mi}")
-    return mi
 
 
 def concurrence_closed_form(els: ClusterElements) -> float:
@@ -149,25 +128,16 @@ def discord_parts(rho: np.ndarray) -> DiscordParts:
     """
     dec = bloch_decompose(rho)
     if is_axially_symmetric(dec):
-        ce, basis = minimize_axial_conditional_entropy(dec)
+        ce, axis = minimize_axial_conditional_entropy(dec)
     else:
-        ce, basis = minimize_conditional_entropy(rho)
+        ce, axis = minimize_conditional_entropy(rho)
     return DiscordParts(
         s_joint=von_neumann_entropy(rho),
         s_first=von_neumann_entropy(reduced_state(rho, "first")),
         s_second=von_neumann_entropy(reduced_state(rho, "second")),
         min_conditional=ce,
-        axis=basis.axis,
+        axis=axis,
     )
-
-
-def quantum_discord(rho: np.ndarray) -> float:
-    """Definitional discord S(rho_A) - S(rho) + min_k sum p_k S(rho_B|k)."""
-    return discord_parts(rho).quantum_discord
-
-
-def classical_correlation(rho: np.ndarray) -> float:
-    return discord_parts(rho).classical_correlation
 
 
 def gmqd(rho: np.ndarray) -> float:

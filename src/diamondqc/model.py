@@ -3,15 +3,15 @@
 One cluster couples a quantum Heisenberg spin pair (coupling ``j2``) to two
 classical Ising spins mu_k, mu_{k+1} = +-1/2 (coupling ``j``, next-nearest
 Ising coupling ``jm``) in a longitudinal field ``h`` at temperature ``t``
-(k_B = 1).  The reduced state of the spin pair is built two ways:
+(k_B = 1).  The spin-pair state has two constructions:
 
 * ``thermal_state_exact`` -- trace the Boltzmann operator over the four Ising
   configurations; this is the source of truth for all correlation measures.
-* ``thermal_state_closed_form`` -- assemble the X-shaped matrix from the
-  closed-form weights u, v, w, y (``boltzmann_elements``); the v weight also
-  exists in a ``verbatim`` variant that carries a spurious exchange term and
-  disagrees with the exact construction whenever j != 0
-  (see ``validate_constructions``).
+* ``boltzmann_elements`` -- the closed-form weights u, v, w, y of the
+  X-shaped state; the v weight also exists in a ``verbatim`` variant that
+  carries a spurious exchange term and disagrees with the exact construction
+  whenever j != 0.  ``validate_constructions`` compares both variants with
+  the exact state element by element.
 
 All Boltzmann sums are evaluated relative to their largest exponent, so
 temperatures down to ~1e-6 at unit couplings are usable without overflow.
@@ -161,10 +161,9 @@ def thermal_state_exact(params: ChainParams) -> np.ndarray:
 class ClusterElements:
     """Closed-form Boltzmann weights u, v, w, y and partition function z.
 
-    Values share a common factor exp(log_scale) that has been divided out for
-    overflow safety; every downstream formula (concurrence, theta, Bell
-    coefficients) is homogeneous of degree zero in (u, v, w, y, z), so the
-    scale never matters.  ``verbatim_v`` records which v variant was used.
+    Values share a common factor exp(largest exponent) that has been divided
+    out for overflow safety; every downstream formula (concurrence, theta) is
+    homogeneous of degree zero in (u, v, w, y, z), so the scale never matters.
     """
 
     u: float
@@ -172,8 +171,6 @@ class ClusterElements:
     w: float
     y: float
     z: float
-    log_scale: float
-    verbatim_v: bool = False
 
     def __post_init__(self):
         # strictly positive in exact arithmetic; at extreme gap/temperature
@@ -240,27 +237,7 @@ def boltzmann_elements(params: ChainParams, verbatim_v: bool = False) -> Cluster
         return math.fsum(c * math.exp(a - shift) for c, a in terms)
 
     u, v, w, y = total(u_terms), total(v_terms), total(w_terms), total(y_terms)
-    return ClusterElements(u=u, v=v, w=w, y=y, z=u + v + 2.0 * w,
-                           log_scale=shift, verbatim_v=verbatim_v)
-
-
-def closed_form_matrix(els: ClusterElements) -> np.ndarray:
-    """Normalized X-shaped density matrix assembled from cluster weights."""
-    z = els.z
-    rho = np.array(
-        [
-            [els.u / z, 0.0, 0.0, 0.0],
-            [0.0, els.w / z, els.y / z, 0.0],
-            [0.0, els.y / z, els.w / z, 0.0],
-            [0.0, 0.0, 0.0, els.v / z],
-        ]
-    )
-    return rho
-
-
-def thermal_state_closed_form(params: ChainParams, verbatim_v: bool = False) -> np.ndarray:
-    els = boltzmann_elements(params, verbatim_v=verbatim_v)
-    return validate_density(closed_form_matrix(els), "closed-form thermal state")
+    return ClusterElements(u=u, v=v, w=w, y=y, z=u + v + 2.0 * w)
 
 
 @dataclass(frozen=True)
@@ -270,26 +247,13 @@ class VariantCheck:
     deviations: dict
     max_abs: float
 
-    def agrees(self, tol: float = 1e-12) -> bool:
-        return self.max_abs <= tol
-
 
 @dataclass(frozen=True)
 class ConstructionCheck:
     """Closed-form weights vs the exact trace-out, for both v variants."""
 
-    params: ChainParams
     corrected: VariantCheck
     verbatim: VariantCheck
-    tol: float
-
-    @property
-    def corrected_agrees(self) -> bool:
-        return self.corrected.agrees(self.tol)
-
-    @property
-    def verbatim_agrees(self) -> bool:
-        return self.verbatim.agrees(self.tol)
 
 
 def _variant_check(els: ClusterElements, rho_exact: np.ndarray) -> VariantCheck:
@@ -303,7 +267,7 @@ def _variant_check(els: ClusterElements, rho_exact: np.ndarray) -> VariantCheck:
     return VariantCheck(deviations=deviations, max_abs=max(deviations.values()))
 
 
-def validate_constructions(params: ChainParams, tol: float = 1e-12) -> ConstructionCheck:
+def validate_constructions(params: ChainParams) -> ConstructionCheck:
     """Compare exact and closed-form constructions element by element.
 
     Deviations are measured on the normalized scale (weights divided by Z
@@ -313,7 +277,7 @@ def validate_constructions(params: ChainParams, tol: float = 1e-12) -> Construct
     rho_exact = thermal_state_exact(params)
     corrected = _variant_check(boltzmann_elements(params, verbatim_v=False), rho_exact)
     verbatim = _variant_check(boltzmann_elements(params, verbatim_v=True), rho_exact)
-    return ConstructionCheck(params=params, corrected=corrected, verbatim=verbatim, tol=tol)
+    return ConstructionCheck(corrected=corrected, verbatim=verbatim)
 
 
 def reduced_state(rho: np.ndarray, which: str = "first") -> np.ndarray:

@@ -16,11 +16,13 @@ Three independently coded minimizations:
   search over the ansatz (p, bloch1, bloch2).  The result is an upper bound on
   the true minimum, exact on Bell-diagonal inputs.
 
-Only ``minimize_conditional_entropy`` takes a ``GridSpec``; the two distance
-searches run fixed configurations.  Every classical-quantum state
-sum_s P_s x block_s is built one way, from a projector pair (I +- n.sigma)/2
-and two weighted conditional blocks of the second qubit, and every distance is
-taken between 4x4 operators, never through the Bloch closed forms.
+The entropy searches return (bits, unit measurement axis), the distance
+searches a float.  Only ``minimize_conditional_entropy`` takes a ``GridSpec``;
+the two distance searches run fixed configurations.  Every refinement round
+halves its step.  Every classical-quantum state sum_s P_s x block_s is built
+one way, from a projector pair (I +- n.sigma)/2 and two weighted conditional
+blocks of the second qubit, and every distance is taken between 4x4
+operators, never through the Bloch closed forms.
 
 Everything is seedless and deterministic: identical inputs give bit-identical
 outputs.  Ties are broken toward the lowest polar angle, then lowest azimuth.
@@ -40,22 +42,15 @@ from .model import IDENTITY_2, PAULIS, bloch_decompose
 class GridSpec:
     """Search discretization: polar steps over [0, pi/2], azimuthal steps over
     [0, pi) evaluated under both antipodal labelings, then ``refine_iters``
-    local refinements shrinking by ``refine_shrink``."""
+    local refinements, each halving the step."""
 
     theta_steps: int = 64
     phi_steps: int = 128
     refine_iters: int = 40
-    refine_shrink: float = 0.5
 
     def __post_init__(self):
         if self.theta_steps < 8 or self.phi_steps < 8:
             raise ValueError("grid needs at least 8 steps per angle")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie in (0, 1)")
-
-    def doubled(self) -> "GridSpec":
-        return GridSpec(2 * self.theta_steps, 2 * self.phi_steps,
-                        self.refine_iters, self.refine_shrink)
 
 
 _PAULI_STACK = np.stack(PAULIS)
@@ -83,22 +78,6 @@ def _cq_state(projectors, blocks):
     """The classical-quantum state sum_s P_s x block_s, as (..., 4, 4)."""
     out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
     return out.reshape(out.shape[:-4] + (4, 4))
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Rank-1 projective measurement on one qubit, parametrized by its Bloch axis."""
-
-    axis: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"measurement axis must be unit length, got |n|={norm}")
-
-    def projectors(self) -> np.ndarray:
-        """The pair (P+, P-) as a (2, 2, 2) array."""
-        return _projector_pairs(self.axis)
 
 
 def _axis_vectors(theta, phi):
@@ -167,7 +146,7 @@ def minimize_axial_conditional_entropy(dec):
     For Bloch data symmetric about z the conditional entropy does not depend
     on the azimuth, so this is ``minimize_conditional_entropy`` with its phi
     axis dropped.  Interior optima are searched like endpoints.  Returns
-    (bits, MeasurementBasis).
+    (bits, unit axis).
     """
     grid = GridSpec()
     thetas = np.linspace(0.0, math.pi / 2.0, grid.theta_steps)
@@ -180,8 +159,8 @@ def minimize_axial_conditional_entropy(dec):
         k = vals.argmin()
         if vals[k] < value:
             value, theta = float(vals[k]), float(local[k])
-        dt *= grid.refine_shrink
-    return value, MeasurementBasis(_axis_vectors(theta, 0.0))
+        dt *= 0.5
+    return value, _axis_vectors(theta, 0.0)
 
 
 def _coarse_grid(spec):
@@ -198,8 +177,8 @@ _REFINE_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 def _refine(objective, value, theta, phi, dt, dp, spec):
     """Shrinking 5x5 local search around (theta, phi), ``spec.refine_iters``
-    rounds with the spacings multiplied by ``spec.refine_shrink`` after each.
-    Returns the improved (value, theta, phi)."""
+    rounds with the spacings halved after each.  Returns the improved
+    (value, theta, phi)."""
     for _ in range(spec.refine_iters):
         lt, lp = np.meshgrid(np.clip(theta + dt * _REFINE_OFFSETS, 0.0, math.pi / 2.0),
                              phi + dp * _REFINE_OFFSETS, indexing="ij")
@@ -207,8 +186,8 @@ def _refine(objective, value, theta, phi, dt, dp, spec):
         k = int(np.argmin(vals))
         if vals[k] < value:
             value, theta, phi = float(vals[k]), float(lt.ravel()[k]), float(lp.ravel()[k])
-        dt *= spec.refine_shrink
-        dp *= spec.refine_shrink
+        dt *= 0.5
+        dp *= 0.5
     return value, theta, phi
 
 
@@ -228,11 +207,11 @@ def _grid_then_refine(objective, grid: GridSpec):
 
 def minimize_conditional_entropy(rho: np.ndarray, grid: GridSpec | None = None):
     """Minimum of sum_k p_k S(rho_{B|k}) over projective measurements on the
-    first qubit.  Returns (bits, MeasurementBasis)."""
+    first qubit.  Returns (bits, unit axis of the measurement)."""
     grid = grid or GridSpec()
     dec = bloch_decompose(rho)
     value, theta, phi = _grid_then_refine(lambda a: _conditional_entropy(dec, a), grid)
-    return value, MeasurementBasis(_axis_vectors(theta, phi % (2.0 * math.pi)))
+    return value, _axis_vectors(theta, phi % (2.0 * math.pi))
 
 
 def measured_state(rho: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -269,30 +248,6 @@ def _ansatz_state(projectors, vec):
     """p P+ x rho(bloch1) + (1 - p) P- x rho(bloch2) for vec = (p, bloch1, bloch2)."""
     weights = np.array([vec[0], 1.0 - vec[0]])
     return _cq_state(projectors, weights[:, None, None] * _bloch_operators(vec[1:].reshape(2, 3)))
-
-
-@dataclass(frozen=True)
-class ClassicalQuantumAnsatz:
-    """Classical-quantum state p P+ x rho1 + (1-p) P- x rho2 with projectors
-    along ``axis`` and conditional states given by Bloch vectors."""
-
-    axis: np.ndarray
-    p: float
-    bloch1: np.ndarray
-    bloch2: np.ndarray
-
-    def state(self) -> np.ndarray:
-        vec = np.concatenate([[self.p], self.bloch1, self.bloch2])
-        return _ansatz_state(MeasurementBasis(self.axis).projectors(), vec)
-
-
-@dataclass(frozen=True)
-class OneNormEstimate:
-    """Best trace-norm distance found; always an upper bound on the true minimum."""
-
-    value: float
-    axis: np.ndarray
-    flag: str = "UPPER_BOUND"
 
 
 # The trace-norm search: coarse axis grid and its dephasing-based refinement,
@@ -351,7 +306,7 @@ def _project_ansatz_vector(vec):
     return vec
 
 
-def gqd_1norm_variational(rho: np.ndarray) -> OneNormEstimate:
+def gqd_1norm_variational(rho: np.ndarray) -> float:
     """Upper-bound estimate of the trace-norm distance to the nearest
     classical-quantum state (nested axis grid + ansatz compass search)."""
     rho = np.asarray(rho, dtype=complex)
@@ -365,7 +320,6 @@ def gqd_1norm_variational(rho: np.ndarray) -> OneNormEstimate:
     candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
 
     best_value = math.inf
-    best_axis = _axis_vectors(0.0, 0.0)
     for t0, p0 in candidates:
         val0 = float(_dephase_trace_norms(rho, _axis_vectors(t0, p0)))
         _, t0, p0 = _refine(lambda a: _dephase_trace_norms(rho, a), val0, t0, p0,
@@ -375,7 +329,5 @@ def gqd_1norm_variational(rho: np.ndarray) -> OneNormEstimate:
         val = _compass_search(lambda v: trace_norm(rho - _ansatz_state(projectors, v)),
                               _project_ansatz_vector(_ansatz_from_dephasing(rho, axis)),
                               _COMPASS_ROUNDS)
-        if val < best_value:
-            best_value = val
-            best_axis = axis
-    return OneNormEstimate(value=float(best_value), axis=best_axis)
+        best_value = min(best_value, val)
+    return float(best_value)

@@ -11,6 +11,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,14 +181,23 @@ def _evaluate_chunk(chunk, measures, verbatim_v) -> list[SweepRow]:
 
 def run_sweep(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR, workers: int = 1,
               verbatim_v: bool = False):
-    """Yield SweepRow for every grid point, in deterministic grid order.
+    """An iterator of SweepRow for every grid point, in deterministic grid order.
 
     With ``workers`` > 1 the rows are evaluated in a process pool; each row
     is computed the same way in any process, so the output does not depend
-    on the worker count.
+    on the worker count.  ``workers`` outside 1..os.cpu_count() raises
+    ValueError here, at the call, before any pool is built: a fork pool
+    starts all its workers at once.
     """
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must lie in 1..{cpus} (the CPU count), got {workers}")
+    return _sweep_rows(spec, temp_floor, workers, verbatim_v)
+
+
+def _sweep_rows(spec, temp_floor, workers, verbatim_v):
     points = sweep_points(spec, temp_floor)
-    if workers <= 1:
+    if workers == 1:
         for point in points:
             yield from _evaluate_chunk([point], spec.measures, verbatim_v)
         return
@@ -360,9 +370,9 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
     the shortcut theta overshooting the searched conditional-entropy minimum)
     are reported under "documented deviations" and do not fail validation.
     """
-    lattice = [DEFAULT_VALIDATION_POINT] + validation_lattice(points)
-    if grid_cap is not None:
-        lattice = lattice[:grid_cap]
+    # the default point comes first, so grid_cap - 1 lattice points are enough
+    n = points if grid_cap is None else min(points, grid_cap - 1)
+    lattice = ([DEFAULT_VALIDATION_POINT] + validation_lattice(n))[:grid_cap]
     summary = ValidationSummary(points_used=len(lattice), verbatim_v=use_verbatim_v)
 
     # construction equivalence, both v variants
@@ -448,8 +458,7 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
         p0 = p.replace(h=0.0)
         rho = thermal_state_exact(p0)
         med = gqd_1norm_bell(bell_diagonal_coeffs(rho))
-        est = gqd_1norm_variational(rho)
-        one_dev = max(one_dev, abs(med - est.value))
+        one_dev = max(one_dev, abs(med - gqd_1norm_variational(rho)))
     summary.add("trace-norm discord: Bell-diagonal median vs variational", one_dev, 1e-3)
 
     return summary

@@ -16,7 +16,6 @@ from diamondqc import (
     boltzmann_elements,
     cluster_hamiltonian,
     reduced_state,
-    thermal_state_closed_form,
     thermal_state_exact,
     validate_constructions,
     validate_density,
@@ -72,7 +71,12 @@ class TestThermalState:
     def test_matches_closed_form(self):
         for p in (point(j=1, j2=1, t=0.5), ChainParams(1.0, 1.0, 0.5, 0.3, 0.7)):
             exact = thermal_state_exact(p)
-            closed = thermal_state_closed_form(p)
+            els = boltzmann_elements(p)
+            closed = np.array([[els.u, 0.0, 0.0, 0.0],
+                               [0.0, els.w, els.y, 0.0],
+                               [0.0, els.y, els.w, 0.0],
+                               [0.0, 0.0, 0.0, els.v]]) / els.z
+            validate_density(closed, "closed-form thermal state")
             assert np.max(np.abs(exact - closed)) < 1e-12
 
     def test_temperature_guard(self):
@@ -131,12 +135,12 @@ class TestBoltzmannElements:
 class TestConstructionCheck:
     def test_both_variants_agree_at_j_zero(self):
         chk = validate_constructions(ChainParams(0.0, 1.3, 0.8, -0.9, 0.4))
-        assert chk.corrected_agrees and chk.verbatim_agrees
+        assert chk.corrected.max_abs <= 1e-12 and chk.verbatim.max_abs <= 1e-12
 
     def test_verbatim_misprint_detected(self):
         chk = validate_constructions(ChainParams(1.0, 1.0, 0.0, 0.5, 0.5))
-        assert chk.corrected_agrees
-        assert not chk.verbatim_agrees
+        assert chk.corrected.max_abs <= 1e-12
+        assert chk.verbatim.max_abs > 1e-12
         assert chk.verbatim.max_abs > 1e-6
         assert chk.verbatim.deviations["v"] > 0.0
 

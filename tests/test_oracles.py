@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from diamondqc import (
-    ClassicalQuantumAnsatz,
     GridSpec,
-    MeasurementBasis,
     bell_diagonal_coeffs,
     gmqd,
     gmqd_variational,
@@ -21,9 +19,11 @@ from diamondqc import (
 from diamondqc.model import IDENTITY_2, PAULIS, bloch_decompose
 from diamondqc.oracles import (
     _ansatz_from_dephasing,
+    _ansatz_state,
     _axial_conditional_entropy,
     _axis_vectors,
     _conditional_entropy,
+    _projector_pairs,
 )
 from conftest import point
 
@@ -41,23 +41,11 @@ class TestGridSpec:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ValueError):
             GridSpec(theta_steps=4)
-        with pytest.raises(ValueError):
-            GridSpec(refine_shrink=1.5)
-
-    def test_doubling(self):
-        g = GridSpec(16, 32)
-        assert g.doubled().theta_steps == 32
-        assert g.doubled().phi_steps == 64
 
 
 class TestMeasurementBasis:
-    def test_unit_axis_required(self):
-        with pytest.raises(ValueError):
-            MeasurementBasis(np.array([1.0, 1.0, 0.0]))
-
     def test_projectors_complete_and_idempotent(self):
-        basis = MeasurementBasis(np.array([0.6, 0.0, 0.8]))
-        p, m = basis.projectors()
+        p, m = _projector_pairs(np.array([0.6, 0.0, 0.8]))
         assert np.allclose(p + m, np.eye(2))
         assert np.allclose(p @ p, p)
         assert np.allclose(m @ m, m)
@@ -76,7 +64,7 @@ class TestConditionalEntropySearch:
     def test_grid_doubling_stability(self):
         rho = thermal_state_exact(point(j=1.0, j2=1.0, t=0.5))
         base, _ = minimize_conditional_entropy(rho, GridSpec())
-        fine, _ = minimize_conditional_entropy(rho, GridSpec().doubled())
+        fine, _ = minimize_conditional_entropy(rho, GridSpec(128, 256))
         assert abs(base - fine) < 1e-8
 
     def test_monotone_refinement(self, lattice):
@@ -88,10 +76,10 @@ class TestConditionalEntropySearch:
 
     def test_deterministic(self):
         rho = thermal_state_exact(point(j=0.8, j2=1.1, h=0.6, t=0.4))
-        a, basis_a = minimize_conditional_entropy(rho)
-        b, basis_b = minimize_conditional_entropy(rho)
+        a, axis_a = minimize_conditional_entropy(rho)
+        b, axis_b = minimize_conditional_entropy(rho)
         assert a == b
-        assert np.array_equal(basis_a.axis, basis_b.axis)
+        assert np.array_equal(axis_a, axis_b)
 
 
 class TestAxialConditionalEntropy:
@@ -145,35 +133,31 @@ class TestGmqdVariational:
 
 class TestOneNormVariational:
     def test_classical_state(self, classical_correlated):
-        est = gqd_1norm_variational(classical_correlated)
-        assert est.value == pytest.approx(0.0, abs=1e-9)
-        assert est.flag == "UPPER_BOUND"
+        assert gqd_1norm_variational(classical_correlated) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state(self, bell_state):
-        assert gqd_1norm_variational(bell_state).value == pytest.approx(1.0, abs=1e-3)
+        assert gqd_1norm_variational(bell_state) == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_median_above_transition(self):
         rho = thermal_state_exact(point(j=1.5, j2=1.0, t=1e-3))
         med = gqd_1norm_bell(bell_diagonal_coeffs(rho))
-        assert abs(gqd_1norm_variational(rho).value - med) < 1e-3
+        assert abs(gqd_1norm_variational(rho) - med) < 1e-3
 
     def test_matches_median_on_field_free_lattice(self, lattice):
         for p in lattice[:6]:
             rho = thermal_state_exact(p.replace(h=0.0))
             med = gqd_1norm_bell(bell_diagonal_coeffs(rho))
-            assert abs(gqd_1norm_variational(rho).value - med) < 1e-3
+            assert abs(gqd_1norm_variational(rho) - med) < 1e-3
 
     def test_deterministic(self):
         rho = thermal_state_exact(point(j=0.9, j2=1.2, t=0.7))
-        assert gqd_1norm_variational(rho).value == gqd_1norm_variational(rho).value
+        assert gqd_1norm_variational(rho) == gqd_1norm_variational(rho)
 
 
 class TestAnsatz:
     def test_state_is_valid_density(self):
-        ansatz = ClassicalQuantumAnsatz(
-            axis=np.array([0.0, 0.0, 1.0]), p=0.3,
-            bloch1=np.array([0.2, 0.1, -0.4]), bloch2=np.array([0.0, 0.0, 0.9]))
-        chi = ansatz.state()
+        vec = np.array([0.3, 0.2, 0.1, -0.4, 0.0, 0.0, 0.9])  # (p, bloch1, bloch2)
+        chi = _ansatz_state(_projector_pairs(np.array([0.0, 0.0, 1.0])), vec)
         validate_density(chi, "classical-quantum ansatz")
         # zero trace-norm distance to itself
         assert trace_norm(chi - chi) == 0.0
@@ -182,7 +166,5 @@ class TestAnsatz:
         for p in lattice:
             rho = thermal_state_exact(p)
             for axis in AXES:
-                vec = _ansatz_from_dephasing(rho, axis)
-                ansatz = ClassicalQuantumAnsatz(axis=axis, p=vec[0],
-                                                bloch1=vec[1:4], bloch2=vec[4:7])
-                assert np.max(np.abs(ansatz.state() - measured_state(rho, axis))) < 1e-15
+                chi = _ansatz_state(_projector_pairs(axis), _ansatz_from_dephasing(rho, axis))
+                assert np.max(np.abs(chi - measured_state(rho, axis))) < 1e-15

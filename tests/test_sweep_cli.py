@@ -116,6 +116,17 @@ class TestSweep:
         finally:
             rows.close()
 
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_worker_count_rejected_at_the_call(self, monkeypatch, workers):
+        built = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: built.append("pool"))
+        monkeypatch.setattr(sweep_module, "sweep_points", lambda *args: built.append("points"))
+        # raised by the call itself: the iterator is never advanced
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(self._spec(), workers=workers)
+        assert built == []
+
     def test_closing_the_sweep_cancels_queued_chunks(self, monkeypatch):
         submitted = []
 
@@ -230,6 +241,23 @@ class TestValidateHarness:
         summary = run_validate(points=12, grid_cap=1, oracle_points=1, onenorm_points=1)
         assert summary.exit_code == 0
         assert summary.points_used == 1
+
+    @pytest.mark.parametrize("points,grid_cap,requested,used", [
+        (10_000_000, 5, 4, 5), (12, None, 12, 13), (3, 10, 3, 4), (12, 1, 0, 1)])
+    def test_builds_only_the_lattice_points_it_keeps(self, monkeypatch, points, grid_cap,
+                                                     requested, used):
+        asked = []
+        lattice = sweep_module.validation_lattice
+
+        def recording_lattice(n):
+            asked.append(n)
+            return lattice(min(n, 12))  # a regression fails on `asked`, not on memory
+
+        monkeypatch.setattr(sweep_module, "validation_lattice", recording_lattice)
+        summary = run_validate(points=points, grid_cap=grid_cap, oracle_points=1,
+                               onenorm_points=1)
+        assert asked == [requested]
+        assert summary.points_used == used
 
     def test_check_names_and_order(self):
         summary = run_validate(points=8, oracle_points=2, onenorm_points=1)
