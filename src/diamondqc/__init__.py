@@ -20,8 +20,6 @@ from .model import (
     BlochDecomposition,
     ChainParams,
     ClusterElements,
-    IsingConfig,
-    ISING_CONFIGS,
     bell_diagonal_coeffs,
     bloch_decompose,
     bloch_reconstruct,

@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--tol", type=float, default=1e-4)
 
     p_val = sub.add_parser("validate", help="run the full invariant grid")
-    p_val.add_argument("--grid-cap", type=int, default=None,
-                       help="cap on the number of validation grid points")
     p_val.add_argument("--points", type=int, default=200)
     p_val.add_argument("--use-verbatim-v", action="store_true")
 
@@ -218,15 +216,18 @@ def cmd_point(args) -> int:
 
 def _sweep_spec(args) -> SweepSpec:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
-    return SweepSpec(
-        t=parse_axis(args.temp, "--temp"),
-        h=parse_axis(args.field, "--field"),
-        j=parse_axis(args.j, "--j"),
-        j2=parse_axis(args.j2, "--j2"),
-        jm=parse_axis(args.jm, "--jm"),
-        measures=measures,
-        grid_cap=args.grid_cap,
-    )
+    try:
+        return SweepSpec(
+            t=parse_axis(args.temp, "--temp"),
+            h=parse_axis(args.field, "--field"),
+            j=parse_axis(args.j, "--j"),
+            j2=parse_axis(args.j2, "--j2"),
+            jm=parse_axis(args.jm, "--jm"),
+            measures=measures,
+            grid_cap=args.grid_cap,
+        )
+    except ValueError as exc:  # an unknown measure; parse_axis raises its own usage error
+        raise argparse.ArgumentTypeError(f"--measures: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -271,12 +272,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.grid_cap is not None and args.grid_cap < 1:
-        raise argparse.ArgumentTypeError(f"--grid-cap must be >= 1, got {args.grid_cap}")
     if args.points < 0:
         raise argparse.ArgumentTypeError(f"--points must be >= 0, got {args.points}")
-    summary = run_validate(points=args.points, grid_cap=args.grid_cap,
-                           use_verbatim_v=args.use_verbatim_v)
+    summary = run_validate(points=args.points, use_verbatim_v=args.use_verbatim_v)
     print(summary.render())
     return summary.exit_code
 

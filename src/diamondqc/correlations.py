@@ -18,20 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityViolation
-from .model import (BellCoeffs, BlochDecomposition, ClusterElements, SIGMA_Y, bloch_decompose,
-                    reduced_state)
+from .model import (PSD_FLOOR, BellCoeffs, BlochDecomposition, ClusterElements, SIGMA_Y,
+                    bloch_decompose, reduced_state)
 from .oracles import minimize_axial_conditional_entropy, minimize_conditional_entropy
-
-EIG_CLIP_FLOOR = -1e-10
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum lambda log2 lambda over the spectrum clipped at zero; an eigenvalue
-    below EIG_CLIP_FLOOR raises PositivityViolation."""
+    below PSD_FLOOR raises PositivityViolation."""
     vals = np.linalg.eigvalsh(np.asarray(rho))
-    if float(vals[0]) < EIG_CLIP_FLOOR:
+    if float(vals[0]) < PSD_FLOOR:
         raise PositivityViolation(
-            f"eigenvalue {vals[0]:.3e} below clipping floor {EIG_CLIP_FLOOR:.0e}"
+            f"eigenvalue {vals[0]:.3e} below clipping floor {PSD_FLOOR:.0e}"
         )
     vals = np.clip(vals, 0.0, None)[::-1]
     nz = vals[vals > 0.0]

@@ -6,7 +6,9 @@ Ising coupling ``jm``) in a longitudinal field ``h`` at temperature ``t``
 (k_B = 1).  The spin-pair state has two constructions:
 
 * ``thermal_state_exact`` -- trace the Boltzmann operator over the four Ising
-  configurations; this is the source of truth for all correlation measures.
+  configurations: ``cluster_hamiltonian`` stacks their four Hamiltonians and
+  one spectral decomposition of the stack gives every Boltzmann operator.
+  This is the source of truth for all correlation measures.
 * ``boltzmann_elements`` -- the closed-form weights u, v, w, y of the
   X-shaped state; the v weight also exists in a ``verbatim`` variant that
   carries a spurious exchange term and disagrees with the exact construction
@@ -74,34 +76,20 @@ class ChainParams:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class IsingConfig:
-    """One classical configuration of the two Ising spins, each +-1/2."""
-
-    mu_k: float
-    mu_k1: float
-
-    def __post_init__(self):
-        if abs(self.mu_k) != 0.5 or abs(self.mu_k1) != 0.5:
-            raise ValueError(f"Ising spins must be +-1/2, got {self.mu_k}, {self.mu_k1}")
+# (mu_k, mu_k1) of the four classical Ising configurations, each spin +-1/2
+_ISING_SPINS = np.array([[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]])
 
 
-ISING_CONFIGS = (
-    IsingConfig(0.5, 0.5),
-    IsingConfig(0.5, -0.5),
-    IsingConfig(-0.5, 0.5),
-    IsingConfig(-0.5, -0.5),
-)
-
-
-def cluster_hamiltonian(params: ChainParams, config: IsingConfig) -> np.ndarray:
-    """4x4 real-symmetric cluster Hamiltonian for a fixed Ising configuration.
+def cluster_hamiltonian(params: ChainParams) -> np.ndarray:
+    """(4, 4, 4) stack of the real-symmetric cluster Hamiltonians, one per
+    Ising configuration (mu_k, mu_k1) in the order (1/2, 1/2), (1/2, -1/2),
+    (-1/2, 1/2), (-1/2, -1/2).
 
     H = j2 S1.S2 + j (mu_k + mu_k1)(S1z + S2z) + jm mu_k mu_k1
         - h (S1z + S2z + (mu_k + mu_k1)/2)
     """
-    m = config.mu_k + config.mu_k1
-    prod = config.mu_k * config.mu_k1
+    m = _ISING_SPINS.sum(axis=1)[:, None, None]
+    prod = _ISING_SPINS.prod(axis=1)[:, None, None]
     return (
         params.j2 * _EXCHANGE
         + (params.j * m - params.h) * _SZ_TOTAL
@@ -135,21 +123,19 @@ def validate_density(rho: np.ndarray, context: str = "density matrix") -> np.nda
 def thermal_state_exact(params: ChainParams) -> np.ndarray:
     """Thermal reduced state (1/Z) sum_config exp(-H(config)/t).
 
-    Each fixed-configuration Boltzmann operator is obtained from the spectral
-    decomposition of the real-symmetric 4x4 Hamiltonian; all exponents are
-    shifted by the global ground energy before exponentiation.
+    One spectral decomposition of the Hamiltonian stack gives every
+    fixed-configuration Boltzmann operator; all exponents are shifted by the
+    global ground energy before exponentiation, and the four operators are
+    summed in configuration order.
     """
-    spectra = [np.linalg.eigh(cluster_hamiltonian(params, cfg)) for cfg in ISING_CONFIGS]
-    e_min = min(float(evals[0]) for evals, _ in spectra)
-    rho = np.zeros((4, 4))
-    for evals, vecs in spectra:
-        with np.errstate(over="ignore"):  # the guard below reports the overflow
-            shifted = -(evals - e_min) / params.t
-        if not np.all(np.isfinite(shifted)):
-            raise TemperatureTooLow(
-                f"Boltzmann exponents not finite at t={params.t} even after shifting"
-            )
-        rho += (vecs * np.exp(shifted)) @ vecs.T
+    evals, vecs = np.linalg.eigh(cluster_hamiltonian(params))
+    with np.errstate(over="ignore"):  # the guard below reports the overflow
+        shifted = -(evals - evals.min()) / params.t
+    if not np.all(np.isfinite(shifted)):
+        raise TemperatureTooLow(
+            f"Boltzmann exponents not finite at t={params.t} even after shifting"
+        )
+    rho = ((vecs * np.exp(shifted)[:, None, :]) @ vecs.transpose(0, 2, 1)).sum(axis=0)
     z = float(np.trace(rho))
     if not math.isfinite(z) or z <= 0.0:
         raise TemperatureTooLow(f"degenerate partition sum at t={params.t}")
@@ -240,44 +226,27 @@ def boltzmann_elements(params: ChainParams, verbatim_v: bool = False) -> Cluster
     return ClusterElements(u=u, v=v, w=w, y=y, z=u + v + 2.0 * w)
 
 
-@dataclass(frozen=True)
-class VariantCheck:
-    """Per-element absolute deviations (on the normalized, per-Z scale)."""
-
-    deviations: dict
-    max_abs: float
-
-
-@dataclass(frozen=True)
-class ConstructionCheck:
-    """Closed-form weights vs the exact trace-out, for both v variants."""
-
-    corrected: VariantCheck
-    verbatim: VariantCheck
-
-
-def _variant_check(els: ClusterElements, rho_exact: np.ndarray) -> VariantCheck:
+def _max_deviation(els: ClusterElements, rho_exact: np.ndarray) -> float:
     z = els.z
-    deviations = {
-        "u": abs(els.u / z - rho_exact[0, 0].real),
-        "w": abs(els.w / z - rho_exact[1, 1].real),
-        "y": abs(els.y / z - rho_exact[1, 2].real),
-        "v": abs(els.v / z - rho_exact[3, 3].real),
-    }
-    return VariantCheck(deviations=deviations, max_abs=max(deviations.values()))
+    return float(max(
+        abs(els.u / z - rho_exact[0, 0].real),
+        abs(els.w / z - rho_exact[1, 1].real),
+        abs(els.y / z - rho_exact[1, 2].real),
+        abs(els.v / z - rho_exact[3, 3].real),
+    ))
 
 
-def validate_constructions(params: ChainParams) -> ConstructionCheck:
-    """Compare exact and closed-form constructions element by element.
+def validate_constructions(params: ChainParams) -> tuple[float, float]:
+    """Largest deviation of the closed-form weights (u, w, y, v) from the exact
+    state, as (corrected v, verbatim v).
 
     Deviations are measured on the normalized scale (weights divided by Z
     against density-matrix entries), since the raw weights grow like
     exp(energy/t) and an absolute comparison there would be meaningless.
     """
     rho_exact = thermal_state_exact(params)
-    corrected = _variant_check(boltzmann_elements(params, verbatim_v=False), rho_exact)
-    verbatim = _variant_check(boltzmann_elements(params, verbatim_v=True), rho_exact)
-    return ConstructionCheck(corrected=corrected, verbatim=verbatim)
+    return (_max_deviation(boltzmann_elements(params, verbatim_v=False), rho_exact),
+            _max_deviation(boltzmann_elements(params, verbatim_v=True), rho_exact))
 
 
 def reduced_state(rho: np.ndarray, which: str = "first") -> np.ndarray:

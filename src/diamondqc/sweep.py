@@ -325,7 +325,6 @@ class CheckResult:
     max_dev: float
     tol: float
     passed: bool
-    detail: str = ""
 
 
 @dataclass
@@ -335,8 +334,8 @@ class ValidationSummary:
     points_used: int = 0
     verbatim_v: bool = False
 
-    def add(self, name: str, max_dev: float, tol: float, detail: str = ""):
-        self.checks.append(CheckResult(name, max_dev, tol, max_dev <= tol, detail))
+    def add(self, name: str, max_dev: float, tol: float):
+        self.checks.append(CheckResult(name, max_dev, tol, max_dev <= tol))
 
     @property
     def failures(self):
@@ -351,8 +350,7 @@ class ValidationSummary:
                  + (" (verbatim v selected)" if self.verbatim_v else "")]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.name}: max dev {c.max_dev:.3e} (tol {c.tol:.0e})"
-                         + (f" {c.detail}" if c.detail else ""))
+            lines.append(f"  [{status}] {c.name}: max dev {c.max_dev:.3e} (tol {c.tol:.0e})")
         lines.append("documented deviations:" if self.deviations else "documented deviations: none")
         for d in self.deviations:
             lines.append(f"  - {d}")
@@ -360,8 +358,7 @@ class ValidationSummary:
         return "\n".join(lines)
 
 
-def run_validate(points: int = 200, grid_cap: int | None = None,
-                 use_verbatim_v: bool = False,
+def run_validate(points: int = 200, use_verbatim_v: bool = False,
                  oracle_points: int = 24, onenorm_points: int = 8) -> ValidationSummary:
     """Run the whole invariant grid: construction equivalence, symmetries,
     oracle equivalences, and the additivity identity.
@@ -370,20 +367,18 @@ def run_validate(points: int = 200, grid_cap: int | None = None,
     the shortcut theta overshooting the searched conditional-entropy minimum)
     are reported under "documented deviations" and do not fail validation.
     """
-    # the default point comes first, so grid_cap - 1 lattice points are enough
-    n = points if grid_cap is None else min(points, grid_cap - 1)
-    lattice = ([DEFAULT_VALIDATION_POINT] + validation_lattice(n))[:grid_cap]
+    lattice = [DEFAULT_VALIDATION_POINT] + validation_lattice(points)
     summary = ValidationSummary(points_used=len(lattice), verbatim_v=use_verbatim_v)
 
     # construction equivalence, both v variants
     dev_corr = dev_verb_j0 = dev_verb = conc_dev = recon_dev = 0.0
     for p in lattice:
-        chk = validate_constructions(p)
-        dev_corr = max(dev_corr, chk.corrected.max_abs)
+        corrected, verbatim = validate_constructions(p)
+        dev_corr = max(dev_corr, corrected)
         if p.j == 0.0:
-            dev_verb_j0 = max(dev_verb_j0, chk.verbatim.max_abs)
+            dev_verb_j0 = max(dev_verb_j0, verbatim)
         else:
-            dev_verb = max(dev_verb, chk.verbatim.max_abs)
+            dev_verb = max(dev_verb, verbatim)
         rho = thermal_state_exact(p)
         conc_dev = max(conc_dev, abs(concurrence_wootters(rho)
                                      - concurrence_closed_form(boltzmann_elements(p))))

@@ -46,18 +46,18 @@ LATTICE = validation_lattice(200)
 
 class TestCriterion1Construction:
     def test_corrected_v_agrees_on_lattice(self):
-        worst = max(validate_constructions(p).corrected.max_abs for p in LATTICE)
+        worst = max(validate_constructions(p)[0] for p in LATTICE)
         check("1", "closed-form u,v,w,y vs exact trace-out (corrected v), 200 points",
               worst <= 1e-12, f"max |dev| = {worst:.3e}")
 
     def test_verbatim_v_agrees_at_j_zero(self):
-        worst = max(validate_constructions(p.replace(j=0.0)).verbatim.max_abs
+        worst = max(validate_constructions(p.replace(j=0.0))[1]
                     for p in LATTICE[:20])
         check("1", "verbatim v agrees at j = 0",
               worst <= 1e-12, f"max |dev| = {worst:.3e}")
 
     def test_verbatim_v_deviation_detected_and_reported(self):
-        worst = max(validate_constructions(p).verbatim.max_abs for p in LATTICE)
+        worst = max(validate_constructions(p)[1] for p in LATTICE)
         summary = run_validate(points=30, oracle_points=2, onenorm_points=1)
         reported = any("verbatim v" in d for d in summary.deviations)
         check("1", "verbatim v deviation at j != 0 detected and reported",

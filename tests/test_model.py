@@ -5,8 +5,6 @@ import pytest
 
 from diamondqc import (
     ChainParams,
-    IsingConfig,
-    ISING_CONFIGS,
     NotBellDiagonal,
     PositivityViolation,
     TemperatureTooLow,
@@ -24,31 +22,63 @@ from diamondqc.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from conftest import point
 
 
+# stack index of each Ising configuration (mu_k, mu_k1)
+CONFIG_INDEX = {(0.5, 0.5): 0, (0.5, -0.5): 1, (-0.5, 0.5): 2, (-0.5, -0.5): 3}
+
+# S1.S2 and S1z + S2z in the product basis |00>,|01>,|10>,|11>
+EXCHANGE = 0.25 * np.array([[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 2.0, 0.0],
+                            [0.0, 2.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+SZ_TOTAL = np.diag([1.0, 0.0, 0.0, -1.0])
+
+
+def reference_hamiltonian(p, mu_k, mu_k1):
+    """The docstring formula for one Ising configuration, written out."""
+    m = mu_k + mu_k1
+    return (p.j2 * EXCHANGE + (p.j * m - p.h) * SZ_TOTAL
+            + (p.jm * (mu_k * mu_k1) - p.h * m / 2.0) * np.eye(4))
+
+
+def reference_thermal_state(p):
+    """Per-configuration trace-out: four eigh calls, accumulated in stack order."""
+    spectra = [np.linalg.eigh(reference_hamiltonian(p, *mu)) for mu in CONFIG_INDEX]
+    e_min = min(float(evals[0]) for evals, _ in spectra)
+    rho = np.zeros((4, 4))
+    for evals, vecs in spectra:
+        rho += (vecs * np.exp(-(evals - e_min) / p.t)) @ vecs.T
+    return rho / float(np.trace(rho))
+
+
 class TestClusterHamiltonian:
     def test_all_couplings_off(self):
-        h4 = cluster_hamiltonian(point(j=0, j2=0, jm=0, h=0), IsingConfig(0.5, -0.5))
+        h4 = cluster_hamiltonian(point(j=0, j2=0, jm=0, h=0))[CONFIG_INDEX[0.5, -0.5]]
         assert np.allclose(h4, 0.0)
 
     def test_isotropic_dimer_spectrum(self):
         # pure Heisenberg exchange: triplet at j2/4, singlet at -3 j2/4
-        h4 = cluster_hamiltonian(point(j2=1.0), IsingConfig(-0.5, 0.5))
+        h4 = cluster_hamiltonian(point(j2=1.0))[CONFIG_INDEX[-0.5, 0.5]]
         evals = np.sort(np.linalg.eigvalsh(h4))
         assert np.allclose(evals, [-0.75, 0.25, 0.25, 0.25])
 
     def test_polarized_diagonal_entry(self):
         # hand evaluation term by term for the S^z-total = +1 entry
-        h4 = cluster_hamiltonian(ChainParams(1.0, 1.0, 0.5, 0.2, 1.0), IsingConfig(0.5, 0.5))
+        h4 = cluster_hamiltonian(ChainParams(1.0, 1.0, 0.5, 0.2, 1.0))[CONFIG_INDEX[0.5, 0.5]]
         assert h4[0, 0] == pytest.approx(0.25 + 1.0 + 0.125 - 0.3, abs=1e-15)
 
     def test_real_symmetric(self):
-        for cfg in ISING_CONFIGS:
-            h4 = cluster_hamiltonian(ChainParams(0.7, -1.2, 2.1, -0.4, 0.3), cfg)
+        stack = cluster_hamiltonian(ChainParams(0.7, -1.2, 2.1, -0.4, 0.3))
+        assert stack.shape == (4, 4, 4)
+        for h4 in stack:
             assert np.allclose(h4, h4.T)
             assert np.isrealobj(h4)
 
-    def test_ising_config_validation(self):
-        with pytest.raises(ValueError):
-            IsingConfig(1.0, 0.5)
+    def test_stack_matches_per_configuration_reference(self, lattice):
+        points = (lattice + [p.replace(h=0.0) for p in lattice]
+                  + [p.replace(t=0.02) for p in lattice])
+        for p in points:
+            stack = cluster_hamiltonian(p)
+            for mu, k in CONFIG_INDEX.items():
+                assert np.array_equal(stack[k], reference_hamiltonian(p, *mu))
+            assert np.array_equal(thermal_state_exact(p), reference_thermal_state(p))
 
 
 class TestThermalState:
@@ -134,20 +164,22 @@ class TestBoltzmannElements:
 
 class TestConstructionCheck:
     def test_both_variants_agree_at_j_zero(self):
-        chk = validate_constructions(ChainParams(0.0, 1.3, 0.8, -0.9, 0.4))
-        assert chk.corrected.max_abs <= 1e-12 and chk.verbatim.max_abs <= 1e-12
+        corrected, verbatim = validate_constructions(ChainParams(0.0, 1.3, 0.8, -0.9, 0.4))
+        assert corrected <= 1e-12 and verbatim <= 1e-12
 
     def test_verbatim_misprint_detected(self):
-        chk = validate_constructions(ChainParams(1.0, 1.0, 0.0, 0.5, 0.5))
-        assert chk.corrected.max_abs <= 1e-12
-        assert chk.verbatim.max_abs > 1e-12
-        assert chk.verbatim.max_abs > 1e-6
-        assert chk.verbatim.deviations["v"] > 0.0
+        p = ChainParams(1.0, 1.0, 0.0, 0.5, 0.5)
+        corrected, verbatim = validate_constructions(p)
+        assert corrected <= 1e-12
+        assert verbatim > 1e-12
+        assert verbatim > 1e-6
+        els = boltzmann_elements(p, verbatim_v=True)
+        assert abs(els.v / els.z - thermal_state_exact(p)[3, 3]) > 0.0
 
     def test_high_temperature_all_agree_loosely(self):
-        chk = validate_constructions(ChainParams(1.0, 1.0, 0.5, 0.5, 1e6))
-        assert chk.corrected.max_abs < 1e-5
-        assert chk.verbatim.max_abs < 1e-5
+        corrected, verbatim = validate_constructions(ChainParams(1.0, 1.0, 0.5, 0.5, 1e6))
+        assert corrected < 1e-5
+        assert verbatim < 1e-5
 
 
 class TestReducedState:
@@ -242,8 +274,8 @@ class TestSymmetries:
         worst_corr = 0.0
         worst_verb = 0.0
         for p in lattice[:40]:
-            chk = validate_constructions(p)
-            worst_corr = max(worst_corr, chk.corrected.max_abs)
-            worst_verb = max(worst_verb, chk.verbatim.max_abs)
+            corrected, verbatim = validate_constructions(p)
+            worst_corr = max(worst_corr, corrected)
+            worst_verb = max(worst_verb, verbatim)
         assert worst_corr < 1e-12
         assert worst_verb > 1e-8  # the verbatim v misprint must be visible

@@ -238,14 +238,12 @@ class TestValidateHarness:
         assert any("expected" in d for d in summary.deviations)
 
     def test_grid_cap_one_trivially_passes(self):
-        summary = run_validate(points=12, grid_cap=1, oracle_points=1, onenorm_points=1)
+        summary = run_validate(points=0, oracle_points=1, onenorm_points=1)
         assert summary.exit_code == 0
         assert summary.points_used == 1
 
-    @pytest.mark.parametrize("points,grid_cap,requested,used", [
-        (10_000_000, 5, 4, 5), (12, None, 12, 13), (3, 10, 3, 4), (12, 1, 0, 1)])
-    def test_builds_only_the_lattice_points_it_keeps(self, monkeypatch, points, grid_cap,
-                                                     requested, used):
+    @pytest.mark.parametrize("points,used", [(12, 13), (3, 4), (0, 1)])
+    def test_builds_only_the_lattice_points_it_keeps(self, monkeypatch, points, used):
         asked = []
         lattice = sweep_module.validation_lattice
 
@@ -254,9 +252,8 @@ class TestValidateHarness:
             return lattice(min(n, 12))  # a regression fails on `asked`, not on memory
 
         monkeypatch.setattr(sweep_module, "validation_lattice", recording_lattice)
-        summary = run_validate(points=points, grid_cap=grid_cap, oracle_points=1,
-                               onenorm_points=1)
-        assert asked == [requested]
+        summary = run_validate(points=points, oracle_points=1, onenorm_points=1)
+        assert asked == [points]
         assert summary.points_used == used
 
     def test_check_names_and_order(self):
@@ -378,12 +375,11 @@ class TestCli:
         assert "NoThreshold" in capsys.readouterr().out
 
     def test_validate_cli_cap_one(self, capsys):
-        assert main(["validate", "--grid-cap", "1", "--points", "4"]) == 0
+        assert main(["validate", "--points", "0"]) == 0
         assert "result: PASS" in capsys.readouterr().out
 
     def test_validate_cli_verbatim_variant_warns(self, capsys):
-        assert main(["validate", "--grid-cap", "6", "--points", "6",
-                     "--use-verbatim-v"]) == 0
+        assert main(["validate", "--points", "5", "--use-verbatim-v"]) == 0
         out = capsys.readouterr().out
         assert "documented deviations" in out
         assert "expected" in out
@@ -432,6 +428,7 @@ class TestCli:
         (["sweep", "--workers=-1"], 2, "--workers", 0),
         (["sweep", "--workers", str((os.cpu_count() or 1) + 1)], 2, "--workers", 0),
         (["validate", "--grid-cap", "0"], 2, "--grid-cap", 0),
+        (["sweep", "--measures", "foo"], 2, "--measures", 0),
         (["validate", "--points=-1"], 2, "--points", 0),
         # too cold for finite Boltzmann weights: found while rows are evaluated,
         # after the header (and the floored T = 0 row) went to stdout
@@ -443,8 +440,8 @@ class TestCli:
             "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text",
             "tol-zero", "tol-negative", "tol-nan", "eps-dead-negative", "eps-dead-nan",
             "eps-dead-inf", "workers-zero", "workers-negative", "workers-above-cpu-count",
-            "validate-grid-cap-zero", "validate-points-negative", "sweep-temp-too-cold",
-            "sweep-temp-range-too-cold"])
+            "validate-grid-cap-zero", "sweep-unknown-measure", "validate-points-negative",
+            "sweep-temp-too-cold", "sweep-temp-range-too-cold"])
     def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message,
                                    stdout_lines):
         def exit_code(args):
