@@ -47,7 +47,6 @@ from .oracles import (
     gqd_1norm_variational,
     measured_state,
     minimize_conditional_entropy,
-    trace_norm,
 )
 from .sweep import (
     AxisRange,

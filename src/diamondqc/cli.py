@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 
-from .errors import DiamondQCError, GridTooLarge, NoBracket, NotBellDiagonal, TemperatureTooLow
+from .errors import DiamondQCError, TemperatureTooLow
 from .model import ChainParams
 from .sweep import (
     AxisRange,
@@ -164,10 +164,14 @@ def _output(path):
         yield sys.stdout
         return
     try:
-        regular = stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        regular = True  # open() creates a regular file
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        try:
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+        except FileNotFoundError:
+            regular = True  # open() creates a regular file
+        stream = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise argparse.ArgumentTypeError(f"--out: {exc}") from exc
+    with stream:
         try:
             yield stream
         except BaseException:
@@ -272,8 +276,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.points < 0:
-        raise argparse.ArgumentTypeError(f"--points must be >= 0, got {args.points}")
+    if not 0 <= args.points < DEFAULT_GRID_CAP:
+        raise argparse.ArgumentTypeError(
+            f"--points must lie in 0..{DEFAULT_GRID_CAP - 1}, got {args.points}")
     summary = run_validate(points=args.points, use_verbatim_v=args.use_verbatim_v)
     print(summary.render())
     return summary.exit_code
@@ -294,9 +299,6 @@ def main(argv=None) -> int:
         # stdout at devnull so the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (TemperatureTooLow, GridTooLarge, NoBracket, NotBellDiagonal) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -11,18 +11,15 @@ Three independently coded minimizations:
 * ``gmqd_variational`` -- squared Hilbert-Schmidt distance to the nearest
   classical-quantum state.  For a fixed measurement axis the closest state is
   the dephased (measured) state, so only the axis is searched.
-* ``gqd_1norm_variational`` -- trace-norm distance to the nearest
-  classical-quantum state; one fixed axis grid plus a deterministic compass
-  search over the ansatz (p, bloch1, bloch2).  The result is an upper bound on
-  the true minimum, exact on Bell-diagonal inputs.
+* ``gqd_1norm_variational`` -- minimum over the measurement axis of the trace
+  distance to the dephased state; an upper bound, exact on Bell-diagonal
+  states.
 
 The entropy searches return (bits, unit measurement axis), the distance
 searches a float.  Only ``minimize_conditional_entropy`` takes a ``GridSpec``;
 the two distance searches run fixed configurations.  Every refinement round
-halves its step.  Every classical-quantum state sum_s P_s x block_s is built
-one way, from a projector pair (I +- n.sigma)/2 and two weighted conditional
-blocks of the second qubit, and every distance is taken between 4x4
-operators, never through the Bloch closed forms.
+halves its step.  Both distances are taken between 4x4 operators, never
+through the Bloch closed forms.
 
 Everything is seedless and deterministic: identical inputs give bit-identical
 outputs.  Ties are broken toward the lowest polar angle, then lowest azimuth.
@@ -56,28 +53,11 @@ class GridSpec:
 _PAULI_STACK = np.stack(PAULIS)
 
 
-def _bloch_operators(vectors):
-    """(I + v.sigma)/2 for a (..., 3) stack of Bloch vectors: the projector
-    onto a unit axis, or the qubit state of a vector with |v| <= 1."""
-    return (IDENTITY_2 + np.tensordot(vectors, _PAULI_STACK, axes=(-1, 0))) / 2.0
-
-
 def _projector_pairs(axes):
     """(..., 2, 2, 2) projector pairs (I +- n.sigma)/2 for a (..., 3) axis stack."""
     axes = np.asarray(axes, dtype=float)
-    return _bloch_operators(np.stack([axes, -axes], axis=-2))
-
-
-def _conditional_blocks(rho, projectors):
-    """Tr_1[(P_s x I) rho] for each projector of a (..., 2, 2, 2) pair stack:
-    the unnormalized states of the second qubit after each outcome."""
-    return np.einsum("...sae,ebad->...sbd", projectors, rho.reshape(2, 2, 2, 2))
-
-
-def _cq_state(projectors, blocks):
-    """The classical-quantum state sum_s P_s x block_s, as (..., 4, 4)."""
-    out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
-    return out.reshape(out.shape[:-4] + (4, 4))
+    vectors = np.stack([axes, -axes], axis=-2)
+    return (IDENTITY_2 + np.tensordot(vectors, _PAULI_STACK, axes=(-1, 0))) / 2.0
 
 
 def _axis_vectors(theta, phi):
@@ -219,7 +199,10 @@ def measured_state(rho: np.ndarray, axis: np.ndarray) -> np.ndarray:
     an (n, 3) axis stack: sum_s P_s x Tr_1[(P_s x I) rho]."""
     rho = np.asarray(rho, dtype=complex)
     projectors = _projector_pairs(axis)
-    return _cq_state(projectors, _conditional_blocks(rho, projectors))
+    # Tr_1[(P_s x I) rho]: the unnormalized second-qubit state after outcome s
+    blocks = np.einsum("...sae,ebad->...sbd", projectors, rho.reshape(2, 2, 2, 2))
+    out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def gmqd_variational(rho: np.ndarray) -> float:
@@ -239,95 +222,27 @@ def gmqd_variational(rho: np.ndarray) -> float:
     return float(value)
 
 
-def trace_norm(hermitian: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input these are |eigenvalues|."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian))))
-
-
-def _ansatz_state(projectors, vec):
-    """p P+ x rho(bloch1) + (1 - p) P- x rho(bloch2) for vec = (p, bloch1, bloch2)."""
-    weights = np.array([vec[0], 1.0 - vec[0]])
-    return _cq_state(projectors, weights[:, None, None] * _bloch_operators(vec[1:].reshape(2, 3)))
-
-
-# The trace-norm search: coarse axis grid and its dephasing-based refinement,
-# then compass rounds over the ansatz at the best few axes.
+# The trace-norm search: a coarse axis grid, then one refinement from each of
+# its best few axes and from the three coordinate axes.
 _ONE_NORM_GRID = GridSpec(13, 24, 30)
-_COMPASS_ROUNDS = 60
 _TOP_AXES = 4
-
-
-def _dephase_trace_norms(rho, axes):
-    return np.sum(np.abs(np.linalg.eigvalsh(rho - measured_state(rho, axes))), axis=-1)
-
-
-def _ansatz_from_dephasing(rho, axis):
-    """Initial ansatz vector (p, bloch1, bloch2): the weights and Bloch vectors
-    of the conditional blocks, so the starting ansatz reproduces the dephased
-    state exactly."""
-    blocks = _conditional_blocks(rho, _projector_pairs(axis))
-    weights = np.trace(blocks, axis1=1, axis2=2).real
-    bloch = np.einsum("sab,kba->sk", blocks, _PAULI_STACK).real
-    # an outcome of zero weight has no conditional state; its Bloch vector stays 0
-    scale = np.where(weights > 1e-15, weights, np.inf)
-    return np.concatenate([weights[:1], (bloch / scale[:, None]).ravel()])
-
-
-def _compass_search(objective, vec, iters, step=0.25, min_step=1e-7):
-    """Coordinate-wise pattern search with halving steps; deterministic.
-    Returns the best objective value found."""
-    best = objective(vec)
-    for _ in range(iters):
-        improved = False
-        for k in range(vec.size):
-            for sign in (1.0, -1.0):
-                trial = vec.copy()
-                trial[k] += sign * step
-                trial = _project_ansatz_vector(trial)
-                val = objective(trial)
-                if val < best:
-                    best = val
-                    vec = trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < min_step:
-                break
-    return best
-
-
-def _project_ansatz_vector(vec):
-    vec = vec.copy()
-    vec[0] = min(max(vec[0], 0.0), 1.0)
-    for lo in (1, 4):
-        norm = float(np.linalg.norm(vec[lo:lo + 3]))
-        if norm > 1.0:
-            vec[lo:lo + 3] /= norm
-    return vec
 
 
 def gqd_1norm_variational(rho: np.ndarray) -> float:
     """Upper-bound estimate of the trace-norm distance to the nearest
-    classical-quantum state (nested axis grid + ansatz compass search)."""
+    classical-quantum state: the minimum over the measurement axis of
+    ||rho - measured_state(rho, axis)||_1, exact on Bell-diagonal states."""
     rho = np.asarray(rho, dtype=complex)
 
-    flat_t, flat_p, dt, dp = _coarse_grid(_ONE_NORM_GRID)
-    coarse = _dephase_trace_norms(rho, _axis_vectors(flat_t, flat_p))
+    def objective(axes):
+        return np.sum(np.abs(np.linalg.eigvalsh(rho - measured_state(rho, axes))), axis=-1)
 
+    flat_t, flat_p, dt, dp = _coarse_grid(_ONE_NORM_GRID)
+    coarse = objective(_axis_vectors(flat_t, flat_p))
     order = np.argsort(coarse, kind="stable")[:_TOP_AXES]
     candidates = [(float(flat_t[k]), float(flat_p[k])) for k in order]
     # canonical axes keep the Bell-diagonal optimum in reach regardless of grid
     candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
-
-    best_value = math.inf
-    for t0, p0 in candidates:
-        val0 = float(_dephase_trace_norms(rho, _axis_vectors(t0, p0)))
-        _, t0, p0 = _refine(lambda a: _dephase_trace_norms(rho, a), val0, t0, p0,
-                            dt, dp, _ONE_NORM_GRID)
-        axis = _axis_vectors(t0, p0 % (2.0 * math.pi))
-        projectors = _projector_pairs(axis)
-        val = _compass_search(lambda v: trace_norm(rho - _ansatz_state(projectors, v)),
-                              _project_ansatz_vector(_ansatz_from_dephasing(rho, axis)),
-                              _COMPASS_ROUNDS)
-        best_value = min(best_value, val)
-    return float(best_value)
+    return min(_refine(objective, float(objective(_axis_vectors(t0, p0))), t0, p0,
+                       dt, dp, _ONE_NORM_GRID)[0]
+               for t0, p0 in candidates)

@@ -59,6 +59,8 @@ class AxisRange:
             raise ValueError("steps must be >= 1")
         if self.start > self.stop:
             raise ValueError(f"range start {self.start} exceeds stop {self.stop}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"range width {self.stop} - {self.start} overflows")
 
     def values(self) -> np.ndarray:
         if self.steps == 1:

@@ -13,13 +13,10 @@ from diamondqc import (
     measured_state,
     minimize_conditional_entropy,
     thermal_state_exact,
-    trace_norm,
     validate_density,
 )
 from diamondqc.model import IDENTITY_2, PAULIS, bloch_decompose
 from diamondqc.oracles import (
-    _ansatz_from_dephasing,
-    _ansatz_state,
     _axial_conditional_entropy,
     _axis_vectors,
     _conditional_entropy,
@@ -153,18 +150,11 @@ class TestOneNormVariational:
         rho = thermal_state_exact(point(j=0.9, j2=1.2, t=0.7))
         assert gqd_1norm_variational(rho) == gqd_1norm_variational(rho)
 
-
-class TestAnsatz:
-    def test_state_is_valid_density(self):
-        vec = np.array([0.3, 0.2, 0.1, -0.4, 0.0, 0.0, 0.9])  # (p, bloch1, bloch2)
-        chi = _ansatz_state(_projector_pairs(np.array([0.0, 0.0, 1.0])), vec)
-        validate_density(chi, "classical-quantum ansatz")
-        # zero trace-norm distance to itself
-        assert trace_norm(chi - chi) == 0.0
-
-    def test_start_from_dephasing_reproduces_measured_state(self, lattice):
-        for p in lattice:
+    def test_matches_x_state_closed_form_in_a_field(self, lattice):
+        # X states with R = diag(a, a, b), not Bell diagonal at H != 0: their
+        # trace-norm discord is |a| (Ciccarello, Tufarelli and Giovannetti,
+        # NJP 16, 013038, 2014)
+        for p in lattice[:12] + [q.replace(t=0.02) for q in lattice[:8]]:
+            assert p.h != 0.0
             rho = thermal_state_exact(p)
-            for axis in AXES:
-                chi = _ansatz_state(_projector_pairs(axis), _ansatz_from_dephasing(rho, axis))
-                assert np.max(np.abs(chi - measured_state(rho, axis))) < 1e-15
+            assert abs(gqd_1norm_variational(rho) - abs(bloch_decompose(rho).r[0, 0])) < 1e-12

@@ -256,6 +256,15 @@ class TestValidateHarness:
         assert asked == [points]
         assert summary.points_used == used
 
+    @pytest.mark.parametrize("points", [sweep_module.DEFAULT_GRID_CAP, 10**9])
+    def test_validate_rejects_points_at_the_grid_cap(self, capsys, monkeypatch, points):
+        asked = []
+        monkeypatch.setattr(sweep_module, "validation_lattice",
+                            lambda n: asked.append(n) or [])
+        assert main(["validate", "--points", str(points)]) == 2
+        assert "--points" in capsys.readouterr().err
+        assert asked == []
+
     def test_check_names_and_order(self):
         summary = run_validate(points=8, oracle_points=2, onenorm_points=1)
         assert [c.name for c in summary.checks] == [
@@ -430,6 +439,8 @@ class TestCli:
         (["validate", "--grid-cap", "0"], 2, "--grid-cap", 0),
         (["sweep", "--measures", "foo"], 2, "--measures", 0),
         (["validate", "--points=-1"], 2, "--points", 0),
+        (["sweep", "--field=-1e308:1e308:3", "--measures", "concurrence"], 2,
+         "usage error", 0),
         # too cold for finite Boltzmann weights: found while rows are evaluated,
         # after the header (and the floored T = 0 row) went to stdout
         (["sweep", "--temp=1e-320", "--measures", "concurrence"], 3, "not finite", 1),
@@ -441,7 +452,7 @@ class TestCli:
             "tol-zero", "tol-negative", "tol-nan", "eps-dead-negative", "eps-dead-nan",
             "eps-dead-inf", "workers-zero", "workers-negative", "workers-above-cpu-count",
             "validate-grid-cap-zero", "sweep-unknown-measure", "validate-points-negative",
-            "sweep-temp-too-cold", "sweep-temp-range-too-cold"])
+            "sweep-range-overflow", "sweep-temp-too-cold", "sweep-temp-range-too-cold"])
     def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message,
                                    stdout_lines):
         def exit_code(args):
@@ -459,6 +470,21 @@ class TestCli:
             out = tmp_path / "out"
             assert exit_code(argv + ["--out", str(out)]) == code
             assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+    @pytest.mark.parametrize("command", [["point"], ["sweep", "--measures", "concurrence"]],
+                             ids=["point", "sweep"])
+    def test_unopenable_out_is_a_usage_error(self, capsys, tmp_path, command, target):
+        # --out is tested apart from test_usage_error_exit_code, which appends its own
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept if target == "existing-directory" else tmp_path / "missing" / "x.csv"
+        assert main(command + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+        assert list(tmp_path.iterdir()) == [kept]
+        assert kept.is_dir()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_failed_command_leaves_a_non_regular_out_in_place(self, capsys, tmp_path):
