@@ -186,8 +186,7 @@ def _output(path):
 
 def cmd_point(args) -> int:
     params, floored = _point_params(args)
-    row = evaluate_row(params, MEASURES, ("temp_floored",) if floored else (),
-                       args.use_verbatim_v)
+    row = evaluate_row(params, MEASURES, floored, args.use_verbatim_v)
     with _output(args.out) as stream:
         if args.format == "table":
             p = row.params
@@ -245,8 +244,9 @@ def cmd_sweep(args) -> int:
         if args.format == "csv":
             stream.write(CSV_HEADER + "\n")
         try:
-            for row in rows:
-                stream.write(to_line(row) + "\n")
+            # one write per chunk: a reader sees each chunk's rows arrive together
+            for chunk in rows:
+                stream.write("".join(to_line(row) + "\n" for row in chunk))
         except KeyboardInterrupt:
             # completed ordered prefix has already been written; fail loudly
             stream.flush()

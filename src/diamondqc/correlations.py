@@ -117,25 +117,43 @@ def is_axially_symmetric(dec: BlochDecomposition) -> bool:
             and np.array_equal(r, np.diag([r[0, 0], r[0, 0], r[2, 2]])))
 
 
+def discord_parts_batch(rhos) -> list[DiscordParts]:
+    """``discord_parts`` of each state in a sequence, in order.
+
+    Each state is decomposed once.  The axially symmetric states share one
+    polar-angle search, whose rows are independent, so every state gets the
+    value it would get alone; any other state runs the full search of
+    ``minimize_conditional_entropy``.
+    """
+    decs = [bloch_decompose(rho) for rho in rhos]
+    axial = [k for k, dec in enumerate(decs) if is_axially_symmetric(dec)]
+    searched = [None] * len(decs)
+    if axial:
+        values, axes = minimize_axial_conditional_entropy([decs[k] for k in axial])
+        for k, value, axis in zip(axial, values, axes):
+            searched[k] = float(value), axis
+    parts = []
+    for rho, found in zip(rhos, searched):
+        ce, axis = found or minimize_conditional_entropy(rho)
+        parts.append(DiscordParts(
+            s_joint=von_neumann_entropy(rho),
+            s_first=von_neumann_entropy(reduced_state(rho, "first")),
+            s_second=von_neumann_entropy(reduced_state(rho, "second")),
+            min_conditional=ce,
+            axis=axis,
+        ))
+    return parts
+
+
 def discord_parts(rho: np.ndarray) -> DiscordParts:
     """Measurement on the first qubit, conditional entropy of the second.
 
     An axially symmetric state is searched over the polar angle only (its
     axis has phi = 0); any other state runs the full search of
-    ``minimize_conditional_entropy``.
+    ``minimize_conditional_entropy``.  The batch of one of
+    ``discord_parts_batch``.
     """
-    dec = bloch_decompose(rho)
-    if is_axially_symmetric(dec):
-        ce, axis = minimize_axial_conditional_entropy(dec)
-    else:
-        ce, axis = minimize_conditional_entropy(rho)
-    return DiscordParts(
-        s_joint=von_neumann_entropy(rho),
-        s_first=von_neumann_entropy(reduced_state(rho, "first")),
-        s_second=von_neumann_entropy(reduced_state(rho, "second")),
-        min_conditional=ce,
-        axis=axis,
-    )
+    return discord_parts_batch([rho])[0]
 
 
 def gmqd(rho: np.ndarray) -> float:

@@ -7,7 +7,8 @@ Three independently coded minimizations:
   the authoritative minimum behind quantum discord.
   ``minimize_axial_conditional_entropy`` is the same search with the azimuth
   dropped, for Bloch data symmetric about z, where the azimuth does not
-  matter; it runs the same float operations on the axes it visits.
+  matter.  It searches a batch of such states at once, each row on its own,
+  and gives the same results; the clamps it drops never act.
 * ``gmqd_variational`` -- squared Hilbert-Schmidt distance to the nearest
   classical-quantum state.  For a fixed measurement axis the closest state is
   the dephased (measured) state, so only the axis is searched.
@@ -51,6 +52,14 @@ class GridSpec:
 
 
 _PAULI_STACK = np.stack(PAULIS)
+_REFINE_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+_AXIAL_THETAS = np.linspace(0.0, math.pi / 2.0, GridSpec().theta_steps)
+# outcome signs +1 and -1 on a leading axis, ahead of the (N, m) angle axes
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
+# the theta offsets of each refinement round: the step halves every round
+# (exactly, by a power of two), starting from the grid spacing
+_AXIAL_REFINE_STEPS = ((_AXIAL_THETAS[1] - _AXIAL_THETAS[0])
+                       * 0.5 ** np.arange(GridSpec().refine_iters))[:, None] * _REFINE_OFFSETS
 
 
 def _projector_pairs(axes):
@@ -94,52 +103,58 @@ def _conditional_entropy(dec, axes):
     return ce
 
 
-def _axial_conditional_entropy(dec, theta):
-    """``_conditional_entropy`` along the axes (sin theta, 0, cos theta) of a
-    1-D theta array, for Bloch data with x = (0, 0, xz), yvec = (0, 0, yz)
-    and a diagonal R.  Both outcomes are stacked on a leading axis.  Every
-    element takes the same float operations as in the general kernel, whose
-    matrix products and norm only add exact zeros here, with the same guards
-    and the same binary entropy."""
+def _axial_conditional_entropy(xz, yz, rxx, rzz, theta):
+    """``_conditional_entropy`` along the axes (sin theta, 0, cos theta), for
+    N states with Bloch data x = (0, 0, xz), yvec = (0, 0, yz) and
+    R = diag(rxx, rxx, rzz).  The four data are (N, 1) columns and theta is
+    broadcastable to (N, m); returns (N, m).
+
+    Every element takes the same float operations as in the general kernel,
+    whose matrix products and norm only add exact zeros here, with the same
+    guards and the same binary entropy, so the results are the same; the
+    clamps it drops never act.  The norm is >= 0 and finite, so its lower
+    clip does nothing; q then lies in [0.5, 1], so its second clip and the
+    q > 0 mask do nothing; and r log2(r) with r = 0 replaced by 1 in the
+    logarithm is already 0 at r = 0.
+    """
     ct = np.cos(theta)
-    sign = np.array([[1.0], [-1.0]])
-    p = 0.5 * (1.0 + sign * (ct * dec.x[2]))
-    n0 = np.sin(theta) * dec.r[0, 0]  # enters squared, so the outcome sign drops out
-    n2 = dec.yvec[2] + sign * (ct * dec.r[2, 2])
+    p = 0.5 * (1.0 + _OUTCOME_SIGNS * (ct * xz))
+    n0 = np.sin(theta) * rxx  # enters squared, so the outcome sign drops out
+    n2 = yz + _OUTCOME_SIGNS * (ct * rzz)
     live = p > 1e-15
     bloch_norm = np.sqrt(n0 * n0 + n2 * n2) / (2.0 * np.where(live, p, 1.0))
-    q = 0.5 * (1.0 + np.minimum(np.maximum(bloch_norm, 0.0), 1.0))
-    q = np.minimum(np.maximum(q, 0.0), 1.0)  # the clip of _binary_entropy_bits
-    entropy = 0.0
-    for s in (q, 1.0 - q):
-        mask = s > 0.0
-        entropy = entropy - np.where(mask, s * np.log2(np.where(mask, s, 1.0)), 0.0)
+    q = 0.5 * (1.0 + np.minimum(bloch_norm, 1.0))
+    r = 1.0 - q
+    entropy = 0.0 - q * np.log2(q) - r * np.log2(np.where(r > 0.0, r, 1.0))
     term = np.where(live, p * entropy, 0.0)
     return 0.0 + term[0] + term[1]
 
 
-def minimize_axial_conditional_entropy(dec):
-    """Minimum of ``_axial_conditional_entropy`` over theta in [0, pi/2]: the
-    polar grid and the refinement rounds of the default ``GridSpec``, at
-    phi = 0.
+def minimize_axial_conditional_entropy(decs):
+    """Minimum of ``_axial_conditional_entropy`` over theta in [0, pi/2] for
+    each of N Bloch decompositions: the polar grid and the refinement rounds
+    of the default ``GridSpec``, at phi = 0, run on all N states at once.
 
     For Bloch data symmetric about z the conditional entropy does not depend
     on the azimuth, so this is ``minimize_conditional_entropy`` with its phi
-    axis dropped.  Interior optima are searched like endpoints.  Returns
-    (bits, unit axis).
+    axis dropped.  Interior optima are searched like endpoints.  Each row
+    takes its own argmin and acceptance, so a state gets the same result in
+    any batch.  Returns ((N,) bits, (N, 3) unit axes).
     """
-    grid = GridSpec()
-    thetas = np.linspace(0.0, math.pi / 2.0, grid.theta_steps)
-    values = _axial_conditional_entropy(dec, thetas)
-    k = values.argmin()
-    value, theta, dt = float(values[k]), float(thetas[k]), thetas[1] - thetas[0]
-    for _ in range(grid.refine_iters):
-        local = np.minimum(np.maximum(theta + dt * _REFINE_OFFSETS, 0.0), math.pi / 2.0)
-        vals = _axial_conditional_entropy(dec, local)
-        k = vals.argmin()
-        if vals[k] < value:
-            value, theta = float(vals[k]), float(local[k])
-        dt *= 0.5
+    data = np.array([(d.x[2], d.yvec[2], d.r[0, 0], d.r[2, 2]) for d in decs])
+    cols = np.hsplit(data, 4)
+    values = _axial_conditional_entropy(*cols, _AXIAL_THETAS)
+    value, theta = values.min(axis=1), _AXIAL_THETAS[values.argmin(axis=1)]
+    # flat index of each row's first element in an (N, 5) array
+    starts = np.arange(len(data)) * _REFINE_OFFSETS.size
+    for steps in _AXIAL_REFINE_STEPS:
+        local = np.minimum(np.maximum(theta[:, None] + steps, 0.0), math.pi / 2.0)
+        vals = _axial_conditional_entropy(*cols, local)
+        k = starts + vals.argmin(axis=1)
+        best = vals.take(k)
+        # a row moves only to a strictly lower value: a tie keeps its theta
+        np.copyto(theta, local.take(k), where=best < value)
+        value = np.minimum(best, value)
     return value, _axis_vectors(theta, 0.0)
 
 
@@ -150,9 +165,6 @@ def _coarse_grid(spec):
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * spec.phi_steps, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     return tt.ravel(), pp.ravel(), thetas[1] - thetas[0], phis[1] - phis[0]
-
-
-_REFINE_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
 def _refine(objective, value, theta, phi, dt, dp, spec):

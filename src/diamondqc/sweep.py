@@ -20,12 +20,13 @@ from .correlations import (
     concurrence_closed_form,
     concurrence_wootters,
     discord_parts,
+    discord_parts_batch,
     gmqd,
     gqd_1norm_bell,
     min_conditional_entropy_closed,
     theta_fast,
 )
-from .errors import GridTooLarge, NoBracket, NotBellDiagonal
+from .errors import DiamondQCError, GridTooLarge, NoBracket, NotBellDiagonal
 from .model import (
     BellCoeffs,
     ChainParams,
@@ -134,62 +135,94 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-def evaluate_row(params: ChainParams, measures=MEASURES, extra_flags: tuple[str, ...] = (),
+def evaluate_row(params: ChainParams, measures=MEASURES, floored: bool = False,
                  verbatim_v: bool = False) -> SweepRow:
-    """Build the exact thermal state and compute just the selected measures
-    on it (sweeps skip the discord search when qd is not requested).
+    """The row of one point, evaluated as a chunk of one; its error is raised.
 
-    The closed-form weights enter only through the diagnostic ``theta``; the
-    state itself and all measures always come from the exact construction.
+    ``floored`` marks a temperature lifted to the floor (flag
+    ``temp_floored``).
     """
-    rho = thermal_state_exact(params)
-    els = boltzmann_elements(params, verbatim_v=verbatim_v)
-    flags = list(extra_flags)
-    if verbatim_v:
-        flags.append("verbatim_v")
-
-    concurrence = concurrence_wootters(rho) if "concurrence" in measures else None
-    gm = gmqd(rho) if "gmqd" in measures else None
-
-    qd = cc = mi = None
-    if "qd" in measures:
-        parts = discord_parts(rho)
-        qd, cc, mi = parts.quantum_discord, parts.classical_correlation, parts.mutual_information
-
-    gqd1 = coeffs = None
-    if "gqd1" in measures:
-        try:
-            coeffs = bell_diagonal_coeffs(rho)
-            gqd1 = gqd_1norm_bell(coeffs)
-        except NotBellDiagonal:
-            flags.append("not_bell_diagonal")
-
-    return SweepRow(params=params, concurrence=concurrence, qd=qd, classical_corr=cc,
-                    mutual_info=mi, gmqd=gm, gqd1=gqd1, bell_coeffs=coeffs,
-                    theta=theta_fast(els), flags=tuple(flags))
+    rows, error = _evaluate_chunk([(params, floored)], measures, verbatim_v)
+    if error is not None:
+        raise error
+    return rows[0]
 
 
-# pool sweeps send chunks of _CHUNK points, at most _CHUNKS_PER_WORKER per worker
-# in flight, so the parent holds a bounded window of the grid, not all of it
+# sweeps evaluate chunks of _CHUNK points, in process or on a pool that holds
+# at most _CHUNKS_PER_WORKER chunks per worker in flight, so the parent holds
+# a bounded window of the grid, not all of it
 _CHUNK = 16
 _CHUNKS_PER_WORKER = 4
 
 
-def _evaluate_chunk(chunk, measures, verbatim_v) -> list[SweepRow]:
-    """Rows of a list of (ChainParams, floored) points."""
-    return [evaluate_row(params, measures, ("temp_floored",) if floored else (), verbatim_v)
-            for params, floored in chunk]
+def _evaluate_chunk(chunk, measures, verbatim_v) -> tuple[list[SweepRow], DiamondQCError | None]:
+    """Rows of a list of (ChainParams, floored) points, and the error.
+
+    The rows are those of the longest prefix of ``chunk`` that evaluates,
+    the error the ``DiamondQCError`` of the point after it, or None.  A
+    chunk that fails is evaluated again a point at a time to find that
+    prefix, so rows and error are those of evaluating each point alone.
+    """
+    try:
+        return _chunk_rows(chunk, measures, verbatim_v), None
+    except DiamondQCError as exc:
+        if len(chunk) == 1:
+            return [], exc
+    rows = []
+    for point in chunk:
+        done, error = _evaluate_chunk([point], measures, verbatim_v)
+        rows += done
+        if error is not None:
+            break
+    return rows, error
+
+
+def _chunk_rows(chunk, measures, verbatim_v) -> list[SweepRow]:
+    """Build the exact thermal state of each point and compute just the
+    selected measures on it (sweeps skip the discord search when qd is not
+    requested).  The discord searches of the chunk run as one batch.
+
+    The closed-form weights enter only through the diagnostic ``theta``; the
+    state itself and all measures always come from the exact construction.
+    """
+    rhos = [thermal_state_exact(params) for params, _ in chunk]
+    weights = [boltzmann_elements(params, verbatim_v=verbatim_v) for params, _ in chunk]
+    parts = discord_parts_batch(rhos) if "qd" in measures else [None] * len(chunk)
+    rows = []
+    for (params, floored), rho, els, part in zip(chunk, rhos, weights, parts):
+        flags = ["temp_floored"] if floored else []
+        if verbatim_v:
+            flags.append("verbatim_v")
+        qd = cc = mi = None
+        if part is not None:
+            qd, cc, mi = part.quantum_discord, part.classical_correlation, part.mutual_information
+        gqd1 = coeffs = None
+        if "gqd1" in measures:
+            try:
+                coeffs = bell_diagonal_coeffs(rho)
+                gqd1 = gqd_1norm_bell(coeffs)
+            except NotBellDiagonal:
+                flags.append("not_bell_diagonal")
+        rows.append(SweepRow(
+            params=params,
+            concurrence=concurrence_wootters(rho) if "concurrence" in measures else None,
+            qd=qd, classical_corr=cc, mutual_info=mi,
+            gmqd=gmqd(rho) if "gmqd" in measures else None,
+            gqd1=gqd1, bell_coeffs=coeffs, theta=theta_fast(els), flags=tuple(flags)))
+    return rows
 
 
 def run_sweep(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR, workers: int = 1,
               verbatim_v: bool = False):
-    """An iterator of SweepRow for every grid point, in deterministic grid order.
+    """An iterator of row lists, one per chunk of ``_CHUNK`` grid points, in
+    deterministic grid order.
 
-    With ``workers`` > 1 the rows are evaluated in a process pool; each row
-    is computed the same way in any process, so the output does not depend
-    on the worker count.  ``workers`` outside 1..os.cpu_count() raises
-    ValueError here, at the call, before any pool is built: a fork pool
-    starts all its workers at once.
+    With ``workers`` > 1 the chunks are evaluated in a process pool; each
+    chunk is computed the same way in any process, so the output does not
+    depend on the worker count.  When a point fails, the rows before it are
+    yielded and then its ``DiamondQCError`` is raised.  ``workers`` outside
+    1..os.cpu_count() raises ValueError here, at the call, before any pool
+    is built: a fork pool starts all its workers at once.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -199,11 +232,14 @@ def run_sweep(spec: SweepSpec, temp_floor: float = DEFAULT_TEMP_FLOOR, workers: 
 
 def _sweep_rows(spec, temp_floor, workers, verbatim_v):
     points = sweep_points(spec, temp_floor)
-    if workers == 1:
-        for point in points:
-            yield from _evaluate_chunk([point], spec.measures, verbatim_v)
-        return
     chunks = iter(lambda: list(itertools.islice(points, _CHUNK)), [])
+    if workers == 1:
+        for chunk in chunks:
+            rows, error = _evaluate_chunk(chunk, spec.measures, verbatim_v)
+            yield rows
+            if error is not None:
+                raise error
+        return
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
         def submit(chunk):
             return pool.submit(_evaluate_chunk, chunk, spec.measures, verbatim_v)
@@ -212,9 +248,11 @@ def _sweep_rows(spec, temp_floor, workers, verbatim_v):
             submit(chunk) for chunk in itertools.islice(chunks, _CHUNKS_PER_WORKER * workers))
         try:
             while window:
-                rows = window.popleft().result()
+                rows, error = window.popleft().result()
                 window.extend(submit(chunk) for chunk in itertools.islice(chunks, 1))
-                yield from rows
+                yield rows
+                if error is not None:
+                    raise error
         finally:
             # closed early (error, broken pipe, consumer gone): drop queued chunks
             pool.shutdown(cancel_futures=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diamondqc import (
+    ChainParams,
     GridSpec,
     bell_diagonal_coeffs,
     gmqd,
@@ -21,6 +22,7 @@ from diamondqc.oracles import (
     _axis_vectors,
     _conditional_entropy,
     _projector_pairs,
+    minimize_axial_conditional_entropy,
 )
 from conftest import point
 
@@ -79,14 +81,49 @@ class TestConditionalEntropySearch:
         assert np.array_equal(axis_a, axis_b)
 
 
+def axial_columns(decs):
+    """(N, 1) columns x_z, y_z, R_xx, R_zz of a list of Bloch decompositions."""
+    return np.hsplit(np.array([(d.x[2], d.yvec[2], d.r[0, 0], d.r[2, 2]) for d in decs]), 4)
+
+
 class TestAxialConditionalEntropy:
     def test_bit_identical_to_general_kernel_at_phi_zero(self, lattice):
         thetas = np.concatenate([np.linspace(0.0, math.pi / 2.0, GridSpec().theta_steps),
                                  [1e-9, 0.0123, 0.4, 0.785, 1.1, 1.5707]])
-        for p in lattice + [q.replace(h=0.0) for q in lattice]:
-            dec = bloch_decompose(thermal_state_exact(p))
-            assert np.array_equal(_axial_conditional_entropy(dec, thetas),
-                                  _conditional_entropy(dec, _axis_vectors(thetas, 0.0)))
+        points = (lattice + [q.replace(h=0.0) for q in lattice]
+                  + [q.replace(t=0.02) for q in lattice])
+        decs = [bloch_decompose(thermal_state_exact(p)) for p in points]
+        general = [_conditional_entropy(dec, _axis_vectors(thetas, 0.0)) for dec in decs]
+        batch = _axial_conditional_entropy(*axial_columns(decs), thetas[None, :])
+        assert batch.shape == (len(decs), thetas.size)
+        for dec, row, expected in zip(decs, batch, general):
+            assert np.array_equal(row, expected)
+            (single,) = _axial_conditional_entropy(*axial_columns([dec]), thetas[None, :])
+            assert np.array_equal(single, expected)
+
+    def test_stacked_search_equals_searches_of_one(self, lattice):
+        points = lattice + [q.replace(h=0.0) for q in lattice]
+        decs = [bloch_decompose(thermal_state_exact(p)) for p in points]
+        values, axes = minimize_axial_conditional_entropy(decs)
+        assert values.shape == (len(decs),) and axes.shape == (len(decs), 3)
+        for dec, value, axis in zip(decs, values, axes):
+            (one,), (one_axis,) = minimize_axial_conditional_entropy([dec])
+            assert one == value
+            assert np.array_equal(one_axis, axis)
+
+    def test_interior_optimum_of_a_cluster_state(self):
+        # the endpoint shortcut (theta = 0 or pi/2 only) misses this minimum
+        rho = thermal_state_exact(ChainParams(j=0.4695, j2=-1.839, jm=2.234,
+                                              h=0.8015, t=0.3888))
+        dec = bloch_decompose(rho)
+        (value,), (axis,) = minimize_axial_conditional_entropy([dec])
+        assert math.atan2(axis[0], axis[2]) == pytest.approx(0.4498, abs=1e-4)
+        assert axis[1] == 0.0
+        assert value == pytest.approx(0.367873635594, abs=1e-12)
+        (ends,) = _axial_conditional_entropy(*axial_columns([dec]),
+                                             np.array([[0.0, math.pi / 2.0]]))
+        assert ends.min() - value == pytest.approx(6.44e-5, abs=5e-7)
+        assert value == minimize_conditional_entropy(rho)[0]
 
 
 class TestDephasing:

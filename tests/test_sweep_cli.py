@@ -75,13 +75,13 @@ class TestSweep:
 
     def test_rows_skip_unrequested_measures(self):
         spec = self._spec(measures=("concurrence",))
-        (row,) = list(run_sweep(spec))
+        ((row,),) = list(run_sweep(spec))
         assert row.concurrence is not None
         assert row.qd is None and row.gmqd is None and row.gqd1 is None
 
     def test_temperature_flooring(self):
         spec = self._spec(t=AxisRange(0.0, 0.0, 1))
-        (row,) = list(run_sweep(spec, temp_floor=1e-3))
+        ((row,),) = list(run_sweep(spec, temp_floor=1e-3))
         assert row.params.t == 1e-3
         assert "temp_floored" in row.flags
 
@@ -90,7 +90,7 @@ class TestSweep:
         spec = self._spec(t=AxisRange.fixed(1e-3), h=AxisRange(0.0, 3.0, 31),
                           j=AxisRange.fixed(2.0), j2=AxisRange.fixed(2.0),
                           jm=AxisRange.fixed(1.5), measures=("concurrence",))
-        cs = [row.concurrence for row in run_sweep(spec)]
+        cs = [row.concurrence for chunk in run_sweep(spec) for row in chunk]
         assert any(abs(c - 1.0) < 1e-3 for c in cs)
         assert any(abs(c - 0.5) < 1e-3 for c in cs)
         assert any(c < 1e-9 for c in cs)  # beyond the second transition
@@ -470,6 +470,47 @@ class TestCli:
             out = tmp_path / "out"
             assert exit_code(argv + ["--out", str(out)]) == code
             assert not out.exists()
+
+    def test_failed_chunk_keeps_its_prefix_at_any_worker_count(self, capsys):
+        # the floored T = 0 row evaluates, the T = 1e-320 row after it in the
+        # same chunk does not: both paths print the row before the error
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["sweep", "--temp=0:1e-320:2", "--measures", "concurrence",
+                         "--workers", workers]) == 3
+            captured = capsys.readouterr()
+            assert "not finite" in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert len(lines) == 2 and lines[0] == CSV_HEADER
+        assert lines[1].startswith("0.001,") and lines[1].endswith("temp_floored")
+
+    def test_sweep_writes_the_header_then_one_write_per_chunk(self, monkeypatch):
+        # a reader timing rows by their arrival sees the header before any
+        # work, then each chunk's rows together, written after it is evaluated
+        events = []
+
+        class Stream:
+            def write(self, text):
+                events.append(("write", text.count("\n")))
+
+            def flush(self):
+                pass
+
+        evaluate = sweep_module._evaluate_chunk
+
+        def logged(*args):
+            events.append(("evaluate", len(args[0])))
+            return evaluate(*args)
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        monkeypatch.setattr(sweep_module, "_evaluate_chunk", logged)
+        assert main(["sweep", "--field=0:1:40", "--measures", "concurrence"]) == 0
+        assert events == [("write", 1),
+                          ("evaluate", 16), ("write", 16),
+                          ("evaluate", 16), ("write", 16),
+                          ("evaluate", 8), ("write", 8)]
 
     @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
     @pytest.mark.parametrize("command", [["point"], ["sweep", "--measures", "concurrence"]],
