@@ -256,6 +256,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    # find_threshold replaces the scanned parameter, so a T scan lifts a
+    # --temp <= 0 as a floor would; --temp still has to parse as one value
+    args.temp_floor = 1.0 if args.scan == "T" else None
     fixed, _ = _point_params(args)
     try:
         lo, hi = (float(x) for x in args.bracket.split(":"))

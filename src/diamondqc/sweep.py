@@ -291,17 +291,37 @@ class ThresholdResult:
     reason: str = ""
 
 
-def _single_measure(params: ChainParams, measure: str) -> float:
-    rho = thermal_state_exact(params)
+# bisection levels evaluated per batch: the discord search costs about the
+# same for one axially symmetric state or fifteen, while the other measures
+# cost a fixed amount per point
+_BISECT_LEVELS = {"concurrence": 1, "qd": 3, "gmqd": 1, "gqd1": 1}
+
+
+def _measure_batch(points: list[ChainParams], measure: str) -> list[float]:
+    """``measure`` at each point, from its exact thermal state; the discord
+    searches of the points run as one batch."""
+    rhos = [thermal_state_exact(params) for params in points]
     if measure == "concurrence":
-        return concurrence_wootters(rho)
+        return [concurrence_wootters(rho) for rho in rhos]
     if measure == "qd":
-        return discord_parts(rho).quantum_discord
+        return [part.quantum_discord for part in discord_parts_batch(rhos)]
     if measure == "gmqd":
-        return gmqd(rho)
+        return [gmqd(rho) for rho in rhos]
     if measure == "gqd1":
-        return gqd_1norm_bell(bell_diagonal_coeffs(rho))
+        return [gqd_1norm_bell(bell_diagonal_coeffs(rho)) for rho in rhos]
     raise ValueError(measure)
+
+
+def _subtree_midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
+    """The midpoints bisection of (lo, hi) forms in its next ``levels``
+    steps, whichever way each step goes, stopping where it would stop."""
+    if levels == 0 or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        return []
+    return ([mid] + _subtree_midpoints(lo, mid, tol, levels - 1)
+            + _subtree_midpoints(mid, hi, tol, levels - 1))
 
 
 def find_threshold(query: ThresholdQuery, fixed: ChainParams) -> ThresholdResult:
@@ -309,18 +329,37 @@ def find_threshold(query: ThresholdQuery, fixed: ChainParams) -> ThresholdResult
 
     ``fixed`` supplies every parameter except the scanned one (its value for
     the scanned parameter is ignored).  Returns NoThreshold when the measure
-    stays alive across the whole bracket (e.g. quantum discord, which decays
-    asymptotically instead of dying); raises NoBracket when it is dead at both
-    ends so no boundary can be located.  Bisection stops at ``query.tol``, or
-    earlier once lo and hi are adjacent floats.
+    stays alive across the whole bracket (e.g. quantum discord along T, which
+    decays asymptotically instead of dying); raises NoBracket when it is dead
+    at both ends so no boundary can be located.  Bisection stops at
+    ``query.tol``, or earlier once lo and hi are adjacent floats.
+
+    Each batch holds the midpoints of the next ``_BISECT_LEVELS[measure]``
+    steps, whichever way each step goes: 3 levels, up to 7 points, for
+    quantum discord, whose batched search costs about as much as a single
+    one, with the bracket ends in the first batch; 1 level for the other
+    measures, whose ends form a batch of their own.  The walk takes its steps
+    from those values, so the result is that of evaluating one midpoint per
+    step.  When a batch fails, the walk evaluates its points again one at a
+    time, so only the ``DiamondQCError`` of a point it reaches is raised.
     """
     key = "t" if query.scan == "T" else "h"
+    levels = _BISECT_LEVELS[query.measure]
 
-    def value(x: float) -> float:
-        return _single_measure(fixed.replace(**{key: x}), query.measure)
+    def values(xs: list[float]) -> list[float]:
+        return _measure_batch([fixed.replace(**{key: x}) for x in xs], query.measure)
 
-    alive_lo = value(query.lo) > query.eps_dead
-    alive_hi = value(query.hi) > query.eps_dead
+    # a batched measure takes its first subtree along with the bracket ends:
+    # one search fewer when a threshold is found, a few states more when not
+    first = _subtree_midpoints(query.lo, query.hi, query.tol, levels) if levels > 1 else []
+    try:
+        v_lo, v_hi, *v_first = values([query.lo, query.hi] + first)
+        known = dict(zip(first, v_first))
+    except DiamondQCError:
+        (v_lo,), (v_hi,) = values([query.lo]), values([query.hi])
+        known = {}
+    alive_lo = v_lo > query.eps_dead
+    alive_hi = v_hi > query.eps_dead
     if alive_lo and alive_hi:
         return ThresholdResult(found=False, location=None,
                                reason="measure exceeds eps_dead across the whole bracket")
@@ -334,7 +373,15 @@ def find_threshold(query: ThresholdQuery, fixed: ChainParams) -> ThresholdResult
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if (value(mid) > query.eps_dead) == alive_lo:
+        if mid not in known:
+            subtree = _subtree_midpoints(lo, hi, query.tol, levels)
+            try:
+                known = dict(zip(subtree, values(subtree)))
+            except DiamondQCError:
+                if len(subtree) == 1:
+                    raise
+                known = {mid: values([mid])[0]}
+        if (known[mid] > query.eps_dead) == alive_lo:
             lo = mid
         else:
             hi = mid

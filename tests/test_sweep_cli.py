@@ -13,16 +13,21 @@ import diamondqc.sweep as sweep_module
 from diamondqc import (
     AxisRange,
     ChainParams,
+    DiamondQCError,
     GridTooLarge,
     NoBracket,
     SweepSpec,
     ThresholdQuery,
+    ThresholdResult,
     find_threshold,
     run_sweep,
     run_validate,
     sweep_points,
 )
 from diamondqc.cli import CSV_HEADER, main, parse_axis
+from diamondqc.correlations import concurrence_wootters, discord_parts, gmqd, gqd_1norm_bell
+from diamondqc.errors import TemperatureTooLow
+from diamondqc.model import bell_diagonal_coeffs
 from conftest import point
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -36,6 +41,49 @@ GOLDEN_SWEEPS = [
     ("golden_sweep_cheap.jsonl", ["--measures", "concurrence,gmqd,gqd1",
                                   "--format", "jsonl", "--use-verbatim-v"]),
 ]
+
+
+def scalar_threshold(query, fixed):
+    """Reference bisection: one thermal state and one measure per step."""
+    key = "t" if query.scan == "T" else "h"
+
+    def value(x):
+        # looked up at call time, so a patch on the sweep module applies here too
+        rho = sweep_module.thermal_state_exact(fixed.replace(**{key: x}))
+        if query.measure == "concurrence":
+            return concurrence_wootters(rho)
+        if query.measure == "qd":
+            return discord_parts(rho).quantum_discord
+        if query.measure == "gmqd":
+            return gmqd(rho)
+        return gqd_1norm_bell(bell_diagonal_coeffs(rho))
+
+    alive_lo = value(query.lo) > query.eps_dead
+    alive_hi = value(query.hi) > query.eps_dead
+    if alive_lo and alive_hi:
+        return ThresholdResult(found=False, location=None,
+                               reason="measure exceeds eps_dead across the whole bracket")
+    if not alive_lo and not alive_hi:
+        raise NoBracket(
+            f"{query.measure} is below eps_dead={query.eps_dead} at both bracket ends")
+    lo, hi = query.lo, query.hi
+    while hi - lo > query.tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (value(mid) > query.eps_dead) == alive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return ThresholdResult(found=True, location=0.5 * (lo + hi))
+
+
+def threshold_outcome(finder, query, fixed):
+    """The result, or the type and message of the domain error raised."""
+    try:
+        return finder(query, fixed)
+    except DiamondQCError as exc:
+        return type(exc), str(exc)
 
 
 class TestAxes:
@@ -205,6 +253,80 @@ class TestThreshold:
         res = find_threshold(q, point(j=1.0, j2=1.0))
         assert res.found
         assert res.location == pytest.approx(1.0 / math.log(2.0 + math.sqrt(5.0)), abs=1e-8)
+
+    @pytest.mark.parametrize("query,fixed", [
+        (ThresholdQuery(scan="H", lo=0.0, hi=6.0, measure="qd"), point(j=0.5, t=0.05)),
+        (ThresholdQuery(scan="T", lo=0.1, hi=10.0, measure="qd"), point(j=1.0, j2=1.0)),
+        (ThresholdQuery(scan="H", lo=5.0, hi=6.0, measure="qd"), point(j=0.5, t=0.05)),
+        # 2.5 tol wide: the first batch is a subtree of 3 midpoints, not 7
+        (ThresholdQuery(scan="H", lo=2.536, hi=2.53625, measure="qd"), point(j=0.5, t=0.05)),
+        (ThresholdQuery(scan="H", lo=0.0, hi=6.0, measure="qd", tol=1e-300),
+         point(j=0.5, t=0.05)),
+        (ThresholdQuery(scan="T", lo=0.1, hi=5.0, measure="concurrence"), point(j=1.0, j2=1.0)),
+        (ThresholdQuery(scan="H", lo=0.0, hi=6.0, measure="gmqd"), point(j=0.5, t=0.05)),
+        (ThresholdQuery(scan="T", lo=0.01, hi=0.5, measure="gqd1"), point(j=1.5, j2=1.0)),
+    ], ids=["qd-h-found", "qd-t-no-threshold", "qd-no-bracket", "qd-partial-subtree",
+            "qd-adjacent-floats", "concurrence", "gmqd", "gqd1"])
+    def test_batched_walk_matches_scalar_bisection(self, query, fixed):
+        expected = threshold_outcome(scalar_threshold, query, fixed)
+        assert threshold_outcome(find_threshold, query, fixed) == expected
+
+    @pytest.mark.parametrize("where", ["off-walk", "on-walk", "bracket-end"])
+    def test_batch_error_escapes_only_where_the_walk_goes(self, monkeypatch, where):
+        q = ThresholdQuery(scan="H", lo=0.0, hi=6.0, measure="qd")
+        fixed = point(j=0.5, t=0.05)
+        state = sweep_module.thermal_state_exact
+        asked = []
+
+        def recording(params):
+            asked.append(params.h)
+            return state(params)
+
+        monkeypatch.setattr(sweep_module, "thermal_state_exact", recording)
+        clean = scalar_threshold(q, fixed)
+        walked = set(asked)
+        # the second level of the first batch: the walk takes one of them
+        second = [0.5 * (q.lo + 3.0), 0.5 * (3.0 + q.hi)]
+        bad = {"off-walk": next(h for h in second if h not in walked),
+               "on-walk": next(h for h in second if h in walked),
+               "bracket-end": q.hi}[where]
+
+        def failing(params):
+            asked.append(params.h)
+            if params.h == bad:
+                raise TemperatureTooLow(f"injected at h={params.h}")
+            return state(params)
+
+        monkeypatch.setattr(sweep_module, "thermal_state_exact", failing)
+        expected = threshold_outcome(scalar_threshold, q, fixed)
+        asked.clear()
+        assert threshold_outcome(find_threshold, q, fixed) == expected
+        assert bad in asked
+        if where == "off-walk":
+            assert expected == clean
+        else:
+            assert expected == (TemperatureTooLow, f"injected at h={bad}")
+
+    def test_thresholds_match_golden(self):
+        # the first 24 seed-1 queries of the benchmark's thresholds workload,
+        # with their outcomes from the one-midpoint-per-step bisection
+        cases = json.loads((DATA / "golden_thresholds.json").read_text())
+        assert sum(case["measure"] == "qd" for case in cases) == 6
+        for case in cases:
+            fixed = ChainParams(**{k: float(v) for k, v in case["fixed"].items()})
+            q = ThresholdQuery(scan=case["scan"], lo=float(case["lo"]),
+                               hi=float(case["hi"]), measure=case["measure"])
+            outcome = case["outcome"]
+            if outcome["kind"] == "no_bracket":
+                with pytest.raises(NoBracket) as exc:
+                    find_threshold(q, fixed)
+                assert str(exc.value) == outcome["error"]
+                continue
+            res = find_threshold(q, fixed)
+            if outcome["kind"] == "found":
+                assert res.found and res.location.hex() == outcome["location"]
+            else:
+                assert not res.found and res.reason == outcome["reason"]
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -383,6 +505,14 @@ class TestCli:
                      "--jm", "0", "--field", "0", "--temp", "1"]) == 0
         assert "NoThreshold" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("temp", ["0", "-2", "7"])
+    def test_threshold_scan_t_ignores_temp(self, capsys, temp):
+        args = ["threshold", "--scan", "T", "--bracket", "0.05:3", "--j", "1", "--j2", "1"]
+        assert main([*args, "--temp", "1"]) == 0
+        expected = capsys.readouterr()
+        assert main([*args, f"--temp={temp}"]) == 0
+        assert capsys.readouterr() == expected
+
     def test_validate_cli_cap_one(self, capsys):
         assert main(["validate", "--points", "0"]) == 0
         assert "result: PASS" in capsys.readouterr().out
@@ -433,6 +563,10 @@ class TestCli:
          2, "usage error", 0),
         (["threshold", "--scan", "T", "--bracket", "0.1:5", "--eps-dead", "inf"],
          2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--temp", "abc"],
+         2, "usage error", 0),
+        (["threshold", "--scan", "T", "--bracket", "0.1:5", "--temp=0:1:3"],
+         2, "usage error", 0),
         (["sweep", "--workers", "0"], 2, "--workers", 0),
         (["sweep", "--workers=-1"], 2, "--workers", 0),
         (["sweep", "--workers", str((os.cpu_count() or 1) + 1)], 2, "--workers", 0),
@@ -450,7 +584,7 @@ class TestCli:
             "sweep-floor-nan", "point-floor-inf", "bracket-nan",
             "bracket-inf", "bracket-unordered", "bracket-three-parts", "bracket-text",
             "tol-zero", "tol-negative", "tol-nan", "eps-dead-negative", "eps-dead-nan",
-            "eps-dead-inf", "workers-zero", "workers-negative", "workers-above-cpu-count",
+            "eps-dead-inf", "scanned-temp-text", "scanned-temp-range", "workers-zero", "workers-negative", "workers-above-cpu-count",
             "validate-grid-cap-zero", "sweep-unknown-measure", "validate-points-negative",
             "sweep-range-overflow", "sweep-temp-too-cold", "sweep-temp-range-too-cold"])
     def test_usage_error_exit_code(self, capsys, tmp_path, argv, code, message,
