@@ -128,6 +128,9 @@ def _point_params(args) -> tuple[ChainParams, bool]:
     if values["t"] <= 0.0:
         floor = getattr(args, "temp_floor", None)
         if floor is None:
+            if args.command == "threshold":
+                raise TemperatureTooLow(
+                    "requested T <= 0; --temp must be > 0 unless T is scanned (--scan T)")
             raise TemperatureTooLow(
                 "requested T <= 0; pass --temp-floor to substitute a small "
                 "temperature for the zero-temperature limit")

@@ -18,9 +18,14 @@ Three independently coded minimizations:
 
 The entropy searches return (bits, unit measurement axis), the distance
 searches a float.  Only ``minimize_conditional_entropy`` takes a ``GridSpec``;
-the two distance searches run fixed configurations.  Every refinement round
-halves its step.  Both distances are taken between 4x4 operators, never
-through the Bloch closed forms.
+the two distance searches run fixed configurations.  The 2-D searches build
+the coarse grid of a ``GridSpec`` once (a cached, read-only axis stack) and
+evaluate the objective on it a slice at a time, which bounds the
+temporaries.  ``_refine`` then moves all of a search's starts in lockstep,
+one objective call per round, each start on its own; every round halves its
+step.  ``measured_state`` dephases term by term, a sum of broadcast
+products built in place in the output layout.  Both distances are still
+taken between 4x4 operators, never through the Bloch closed forms.
 
 Everything is seedless and deterministic: identical inputs give bit-identical
 outputs.  Ties are broken toward the lowest polar angle, then lowest azimuth.
@@ -28,6 +33,7 @@ outputs.  Ties are broken toward the lowest polar angle, then lowest azimuth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,26 +164,59 @@ def minimize_axial_conditional_entropy(decs):
     return value, _axis_vectors(theta, 0.0)
 
 
+@functools.lru_cache(maxsize=4)
 def _coarse_grid(spec):
     """Flattened (theta-major) polar and azimuthal angles of the coarse grid
-    of a GridSpec, and the two grid spacings."""
+    of a GridSpec, their (n, 3) axis stack, and the two grid spacings.  Built
+    once per GridSpec; the arrays are read-only because every caller shares
+    them."""
     thetas = np.linspace(0.0, math.pi / 2.0, spec.theta_steps)
     phis = np.linspace(0.0, 2.0 * math.pi, 2 * spec.phi_steps, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return tt.ravel(), pp.ravel(), thetas[1] - thetas[0], phis[1] - phis[0]
+    flat_t, flat_p = tt.ravel(), pp.ravel()
+    axes = _axis_vectors(flat_t, flat_p)
+    for array in (flat_t, flat_p, axes):
+        array.flags.writeable = False
+    return flat_t, flat_p, axes, thetas[1] - thetas[0], phis[1] - phis[0]
 
 
-def _refine(objective, value, theta, phi, dt, dp, spec):
-    """Shrinking 5x5 local search around (theta, phi), ``spec.refine_iters``
-    rounds with the spacings halved after each.  Returns the improved
-    (value, theta, phi)."""
-    for _ in range(spec.refine_iters):
-        lt, lp = np.meshgrid(np.clip(theta + dt * _REFINE_OFFSETS, 0.0, math.pi / 2.0),
-                             phi + dp * _REFINE_OFFSETS, indexing="ij")
-        vals = objective(_axis_vectors(lt.ravel(), lp.ravel()))
-        k = int(np.argmin(vals))
-        if vals[k] < value:
-            value, theta, phi = float(vals[k]), float(lt.ravel()[k]), float(lp.ravel()[k])
+# the coarse grid is evaluated this many slices at a time, bounding the
+# temporaries of an objective to a slice of the grid
+_GRID_SLICES = 8
+
+
+def _coarse_values(objective, spec):
+    """The objective on the coarse grid of a GridSpec, a slice at a time,
+    with the grid's flattened angles and spacings."""
+    flat_t, flat_p, axes, dt, dp = _coarse_grid(spec)
+    values = np.concatenate([objective(part) for part in np.array_split(axes, _GRID_SLICES)])
+    return values, flat_t, flat_p, dt, dp
+
+
+# the 5x5 refinement stencil, flattened theta-major: theta varies slowest
+_STENCIL_THETA = np.repeat(_REFINE_OFFSETS, _REFINE_OFFSETS.size)
+_STENCIL_PHI = np.tile(_REFINE_OFFSETS, _REFINE_OFFSETS.size)
+
+
+def _refine(objective, value, theta, phi, dt, dp, rounds):
+    """Shrinking 5x5 local search around each of k starts (theta[i], phi[i])
+    with start values value[i], ``rounds`` rounds with the spacings halved
+    after each.  The k starts run in lockstep, one objective call per round,
+    but each on its own: a start moves only to a strictly lower value of its
+    own stencil, ties going to the lowest theta, then the lowest phi.
+    Returns the improved (value, theta, phi) as (k,) arrays."""
+    value, theta, phi = (np.array(a, dtype=float, ndmin=1) for a in (value, theta, phi))
+    rows = np.arange(value.size)
+    for _ in range(rounds):
+        lt = np.clip(theta[:, None] + dt * _STENCIL_THETA, 0.0, math.pi / 2.0)
+        lp = phi[:, None] + dp * _STENCIL_PHI
+        vals = objective(_axis_vectors(lt.ravel(), lp.ravel())).reshape(lt.shape)
+        k = vals.argmin(axis=1)
+        best = vals[rows, k]
+        better = best < value
+        value = np.where(better, best, value)
+        theta = np.where(better, lt[rows, k], theta)
+        phi = np.where(better, lp[rows, k], phi)
         dt *= 0.5
         dp *= 0.5
     return value, theta, phi
@@ -186,15 +225,15 @@ def _refine(objective, value, theta, phi, dt, dp, spec):
 def _grid_then_refine(objective, grid: GridSpec):
     """Minimize objective(axes) on the coarse grid, then locally refine.
 
-    objective maps an (n, 3) axis stack to an (n,) value array.  Returns
-    (value, theta, phi).  np.argmin on the (theta-major) flattened grid breaks
-    ties toward the lowest theta, then the lowest phi.
+    objective maps an (n, 3) axis stack to an (n,) value array, each row on
+    its own.  Returns (value, theta, phi).  np.argmin on the (theta-major)
+    flattened grid breaks ties toward the lowest theta, then the lowest phi.
     """
-    flat_t, flat_p, dt, dp = _coarse_grid(grid)
-    values = objective(_axis_vectors(flat_t, flat_p))
+    values, flat_t, flat_p, dt, dp = _coarse_values(objective, grid)
     k = int(np.argmin(values))
-    return _refine(objective, float(values[k]), float(flat_t[k]), float(flat_p[k]),
-                   dt, dp, grid)
+    value, theta, phi = _refine(objective, values[k], flat_t[k], flat_p[k],
+                                dt, dp, grid.refine_iters)
+    return float(value[0]), float(theta[0]), float(phi[0])
 
 
 def minimize_conditional_entropy(rho: np.ndarray, grid: GridSpec | None = None):
@@ -209,11 +248,16 @@ def minimize_conditional_entropy(rho: np.ndarray, grid: GridSpec | None = None):
 def measured_state(rho: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Dephase the first qubit along a measurement axis, or along each row of
     an (n, 3) axis stack: sum_s P_s x Tr_1[(P_s x I) rho]."""
-    rho = np.asarray(rho, dtype=complex)
-    projectors = _projector_pairs(axis)
-    # Tr_1[(P_s x I) rho]: the unnormalized second-qubit state after outcome s
-    blocks = np.einsum("...sae,ebad->...sbd", projectors, rho.reshape(2, 2, 2, 2))
-    out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
+    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    projectors = _projector_pairs(axis)  # (..., s, a, e)
+    # Tr_1[(P_s x I) rho]: the unnormalized second-qubit state after outcome s,
+    # blocks[..., s, b, d] = sum_{a, e} P_s[a, e] rho[(e, b), (a, d)]
+    blocks = projectors[..., 0, 0, None, None] * rho[0, :, 0, :]
+    for a, e in ((0, 1), (1, 0), (1, 1)):
+        blocks += projectors[..., a, e, None, None] * rho[e, :, a, :]
+    # out[..., a, b, c, d] = sum_s P_s[a, c] blocks_s[b, d], rows (a, b), columns (c, d)
+    out = projectors[..., 0, :, None, :, None] * blocks[..., 0, None, :, None, :]
+    out += projectors[..., 1, :, None, :, None] * blocks[..., 1, None, :, None, :]
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
@@ -249,12 +293,11 @@ def gqd_1norm_variational(rho: np.ndarray) -> float:
     def objective(axes):
         return np.sum(np.abs(np.linalg.eigvalsh(rho - measured_state(rho, axes))), axis=-1)
 
-    flat_t, flat_p, dt, dp = _coarse_grid(_ONE_NORM_GRID)
-    coarse = objective(_axis_vectors(flat_t, flat_p))
+    coarse, flat_t, flat_p, dt, dp = _coarse_values(objective, _ONE_NORM_GRID)
     order = np.argsort(coarse, kind="stable")[:_TOP_AXES]
-    candidates = [(float(flat_t[k]), float(flat_p[k])) for k in order]
     # canonical axes keep the Bell-diagonal optimum in reach regardless of grid
-    candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
-    return min(_refine(objective, float(objective(_axis_vectors(t0, p0))), t0, p0,
-                       dt, dp, _ONE_NORM_GRID)[0]
-               for t0, p0 in candidates)
+    thetas = np.concatenate([flat_t[order], [math.pi / 2.0, math.pi / 2.0, 0.0]])
+    phis = np.concatenate([flat_p[order], [0.0, math.pi / 2.0, 0.0]])
+    value, _, _ = _refine(objective, objective(_axis_vectors(thetas, phis)), thetas, phis,
+                          dt, dp, _ONE_NORM_GRID.refine_iters)
+    return float(value.min())

@@ -490,13 +490,14 @@ def run_validate(points: int = 200, use_verbatim_v: bool = False,
     bell_dev = swap_dev = jsign_dev = 0.0
     for p in lattice[: max(40, len(lattice) // 4)]:
         p0 = p.replace(h=0.0)
-        coeffs = bell_diagonal_coeffs(thermal_state_exact(p0))
+        rho0 = thermal_state_exact(p0)
+        coeffs = bell_diagonal_coeffs(rho0)
         bell_dev = max(bell_dev, abs(coeffs.c1 - coeffs.c2))
         rho = thermal_state_exact(p)
         swap = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         swap_dev = max(swap_dev, float(np.max(np.abs(swap - rho))))
         jsign_dev = max(jsign_dev, float(np.max(np.abs(
-            thermal_state_exact(p0) - thermal_state_exact(p0.replace(j=-p0.j))))))
+            rho0 - thermal_state_exact(p0.replace(j=-p0.j))))))
     summary.add("field-free Bell structure (c1 = c2)", bell_dev, 1e-12)
     summary.add("Heisenberg-spin swap symmetry", swap_dev, 1e-12)
     summary.add("j sign symmetry of the field-free state", jsign_dev, 1e-12)

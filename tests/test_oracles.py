@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,18 @@ from diamondqc import (
 )
 from diamondqc.model import IDENTITY_2, PAULIS, bloch_decompose
 from diamondqc.oracles import (
+    _ONE_NORM_GRID,
+    _REFINE_OFFSETS,
+    _TOP_AXES,
     _axial_conditional_entropy,
     _axis_vectors,
+    _coarse_grid,
     _conditional_entropy,
     _projector_pairs,
+    _refine,
     minimize_axial_conditional_entropy,
 )
+from diamondqc.sweep import validation_lattice
 from conftest import point
 
 # measurement axes for the classical-quantum reference checks
@@ -195,3 +202,149 @@ class TestOneNormVariational:
             assert p.h != 0.0
             rho = thermal_state_exact(p)
             assert abs(gqd_1norm_variational(rho) - abs(bloch_decompose(rho).r[0, 0])) < 1e-12
+
+
+# Reference searches: the earlier einsum dephasing, the one-start meshgrid
+# refinement and the whole-grid coarse stage, kept to pin the faster code.
+
+def reference_measured_state(rho, axis):
+    rho = np.asarray(rho, dtype=complex)
+    projectors = _projector_pairs(axis)
+    blocks = np.einsum("...sae,ebad->...sbd", projectors, rho.reshape(2, 2, 2, 2))
+    out = np.einsum("...sac,...sbd->...abcd", projectors, blocks)
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def reference_coarse_grid(spec):
+    thetas = np.linspace(0.0, math.pi / 2.0, spec.theta_steps)
+    phis = np.linspace(0.0, 2.0 * math.pi, 2 * spec.phi_steps, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return tt.ravel(), pp.ravel(), thetas[1] - thetas[0], phis[1] - phis[0]
+
+
+def reference_refine(objective, value, theta, phi, dt, dp, spec):
+    for _ in range(spec.refine_iters):
+        lt, lp = np.meshgrid(np.clip(theta + dt * _REFINE_OFFSETS, 0.0, math.pi / 2.0),
+                             phi + dp * _REFINE_OFFSETS, indexing="ij")
+        vals = objective(_axis_vectors(lt.ravel(), lp.ravel()))
+        k = int(np.argmin(vals))
+        if vals[k] < value:
+            value, theta, phi = float(vals[k]), float(lt.ravel()[k]), float(lp.ravel()[k])
+        dt *= 0.5
+        dp *= 0.5
+    return value, theta, phi
+
+
+def reference_grid_then_refine(objective, grid):
+    flat_t, flat_p, dt, dp = reference_coarse_grid(grid)
+    values = objective(_axis_vectors(flat_t, flat_p))
+    k = int(np.argmin(values))
+    return reference_refine(objective, float(values[k]), float(flat_t[k]), float(flat_p[k]),
+                            dt, dp, grid)
+
+
+def reference_minimize_conditional_entropy(rho):
+    dec = bloch_decompose(rho)
+    value, theta, phi = reference_grid_then_refine(lambda a: _conditional_entropy(dec, a),
+                                                   GridSpec())
+    return value, _axis_vectors(theta, phi % (2.0 * math.pi))
+
+
+def reference_gmqd_variational(rho):
+    rho = np.asarray(rho, dtype=complex)
+
+    def objective(axes):
+        delta = rho[None, :, :] - reference_measured_state(rho, axes)
+        return np.sum(np.abs(delta) ** 2, axis=(1, 2)).real
+
+    return float(reference_grid_then_refine(objective, GridSpec())[0])
+
+
+def one_norm_objective(rho, dephase):
+    rho = np.asarray(rho, dtype=complex)
+    return lambda axes: np.sum(np.abs(np.linalg.eigvalsh(rho - dephase(rho, axes))), axis=-1)
+
+
+def reference_gqd_1norm_variational(rho):
+    objective = one_norm_objective(rho, reference_measured_state)
+    flat_t, flat_p, dt, dp = reference_coarse_grid(_ONE_NORM_GRID)
+    coarse = objective(_axis_vectors(flat_t, flat_p))
+    order = np.argsort(coarse, kind="stable")[:_TOP_AXES]
+    candidates = [(float(flat_t[k]), float(flat_p[k])) for k in order]
+    candidates += [(math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0)]
+    return min(reference_refine(objective, float(objective(_axis_vectors(t0, p0))), t0, p0,
+                                dt, dp, _ONE_NORM_GRID)[0]
+               for t0, p0 in candidates)
+
+
+@pytest.fixture(scope="module")
+def pinned_states():
+    """Thermal states of the first 60 lattice points and of their H = 0 and
+    T = 0.02 copies."""
+    base = validation_lattice(200)[:60]
+    points = base + [q.replace(h=0.0) for q in base] + [q.replace(t=0.02) for q in base]
+    return [thermal_state_exact(p) for p in points]
+
+
+class TestPinnedToReferences:
+    def test_conditional_entropy_search_is_bit_identical(self, pinned_states):
+        for rho in pinned_states:
+            value, axis = minimize_conditional_entropy(rho)
+            ref_value, ref_axis = reference_minimize_conditional_entropy(rho)
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(axis, ref_axis)
+
+    def test_gmqd_variational_matches(self, pinned_states):
+        for rho in pinned_states:
+            assert abs(gmqd_variational(rho) - reference_gmqd_variational(rho)) <= 1e-15
+
+    def test_one_norm_variational_matches(self, pinned_states):
+        # every third state: the three families in turn, 60 states in all
+        for rho in pinned_states[::3]:
+            assert abs(gqd_1norm_variational(rho)
+                       - reference_gqd_1norm_variational(rho)) <= 1e-15
+
+    def test_measured_state_stack_equals_single_axes(self, pinned_states):
+        flat_t, flat_p, axes, _, _ = _coarse_grid(_ONE_NORM_GRID)
+        for rho in pinned_states:
+            stacked = measured_state(rho, axes)
+            assert stacked.shape == (len(axes), 4, 4)
+            assert np.max(np.abs(stacked - reference_measured_state(rho, axes))) <= 1e-15
+            for axis, chi in zip(axes[::37], stacked[::37]):
+                assert np.array_equal(measured_state(rho, axis), chi)
+
+    def test_refine_of_k_starts_equals_k_refines_of_one(self, pinned_states):
+        flat_t, flat_p, _, dt, dp = _coarse_grid(_ONE_NORM_GRID)
+        picks = np.array([0, 5, 77, 300, 623])
+        for rho in pinned_states[::3]:
+            objective = one_norm_objective(rho, measured_state)
+            starts = objective(_axis_vectors(flat_t[picks], flat_p[picks]))
+            value, theta, phi = _refine(objective, starts, flat_t[picks], flat_p[picks],
+                                        dt, dp, 12)
+            for i, k in enumerate(picks):
+                one = _refine(objective, starts[i], flat_t[k], flat_p[k], dt, dp, 12)
+                assert (value[i], theta[i], phi[i]) == tuple(float(x[0]) for x in one)
+
+    def test_coarse_grid_is_cached_and_read_only(self):
+        grid = _coarse_grid(GridSpec())
+        assert _coarse_grid(GridSpec()) is grid
+        flat_t, flat_p, axes, dt, dp = grid
+        ref_t, ref_p, ref_dt, ref_dp = reference_coarse_grid(GridSpec())
+        assert np.array_equal(flat_t, ref_t) and np.array_equal(flat_p, ref_p)
+        assert np.array_equal(axes, _axis_vectors(ref_t, ref_p))
+        assert (dt, dp) == (ref_dt, ref_dp)
+        for array in (flat_t, flat_p, axes):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_gmqd_variational_peak_memory(lattice):
+    rho = thermal_state_exact(lattice[3])
+    gmqd_variational(rho)  # warm-up: builds the cached coarse grid
+    tracemalloc.start()
+    try:
+        gmqd_variational(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -513,6 +513,21 @@ class TestCli:
         assert main([*args, f"--temp={temp}"]) == 0
         assert capsys.readouterr() == expected
 
+    @pytest.mark.parametrize("temp", ["0", "-2"])
+    def test_threshold_scan_h_rejects_nonpositive_temp(self, capsys, temp):
+        # threshold has no --temp-floor, so the message must not name it
+        assert main(["threshold", "--scan", "H", "--bracket", "0:3", "--j", "1",
+                     "--j2", "1", f"--temp={temp}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: requested T <= 0; --temp must be > 0 "
+                                "unless T is scanned (--scan T)\n")
+
+    def test_validate_stdout_matches_golden(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (DATA / "golden_validate.txt").read_bytes()
+
     def test_validate_cli_cap_one(self, capsys):
         assert main(["validate", "--points", "0"]) == 0
         assert "result: PASS" in capsys.readouterr().out
